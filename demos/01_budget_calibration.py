@@ -2,8 +2,8 @@
 
 Both synthesizers trade utility for privacy through one dial: the prior
 strength. This script walks the closed-form baseline calibration, then the
-coupled fixed point the Poisson-gamma model needs once populations and
-smoothing targets differ across groups.
+scalar solve the Poisson-gamma model needs once populations and smoothing
+targets differ across groups.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ print("\nheterogeneous Poisson-gamma, eps = 1:")
 print("  a_min   =", np.round(cal.a_min, 3))
 print("  nu      =", np.round(cal.nu, 4), "(1 = no penalty, 2 = worst case)")
 print("  r       =", np.round(cal.r, 4))
-print("  solved in", cal.iterations, "sweeps, converged =", cal.converged)
+print("  solved in", cal.iterations, "solver steps, converged =", cal.converged)
 
 # The certificate can be read back from any prior: the budget it implies.
 implied = dp.pg_implied_epsilon(skewed.populations, cal.a_min, cal.b_min,

@@ -17,7 +17,6 @@ from .core import (
     Provenance,
     RngStream,
     SyntheticDataset,
-    log_gamma,
     negbin_log_pmf,
     sample_dirichlet,
     sample_gamma,
@@ -41,7 +40,6 @@ from .errors import (
 )
 from .poisson_gamma import (
     PgCalibration,
-    PgPosterior,
     SynthesisStrategy,
     TargetRule,
     calibrate_pg,
@@ -54,9 +52,7 @@ from .poisson_gamma import (
     pg_expected_counts,
     pg_implied_epsilon,
     pg_synthesize,
-    posterior_params,
     sample_pair_allocation,
-    predictive_params,
     sanitize_state_rates,
     state_target_rates,
     structure_ratio,

@@ -259,21 +259,6 @@ class SyntheticDataset:
         object.__setattr__(self, "total", int(self.total))
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0.
-
-    Scalar in, scalar out; arrays are mapped elementwise. Relative error is
-    below 1e-13 for x >= 0.5 (Lanczos-class implementation).
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(arr > 0):
-        raise DomainError("log_gamma requires x > 0")
-    out = special.gammaln(arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def sample_gamma(shape, rate, rng: RngStream, size=None):
     """Draw from Gamma(shape, rate) with mean shape/rate.
 

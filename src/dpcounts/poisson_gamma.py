@@ -39,38 +39,6 @@ from .errors import DomainError, InfeasibleBudgetError, UsageError
 RATE_FLOOR_SCALE = 0.1
 
 
-@dataclass(frozen=True)
-class PgPosterior:
-    """Gamma posterior for one group's event rate."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise DomainError("posterior shape and rate must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-
-def posterior_params(y_i: int, a_i: float, b_i: float, n_i: float) -> PgPosterior:
-    """Conjugate update: rate | y ~ Gamma(y + a, n + b)."""
-    if not (a_i > 0 and b_i > 0 and n_i > 0):
-        raise DomainError("a, b, n must be positive")
-    if y_i < 0:
-        raise DomainError("count must be non-negative")
-    return PgPosterior(shape=y_i + a_i, rate=n_i + b_i)
-
-
-def predictive_params(y_i: int, a_i: float, b_i: float, n_i: float) -> tuple[float, float]:
-    """Parameters (r, p) of the unconstrained posterior predictive
-    z | y ~ NegBin(y + a, n / (b + 2n)). Note p < 1/2 always since b > 0."""
-    post = posterior_params(y_i, a_i, b_i, n_i)
-    return post.shape, n_i / (b_i + 2.0 * n_i)
-
-
 def structure_ratio(i: int, populations, b) -> float:
     """Ratio (b_c/n_c + 2) / (b_i/n_i + 2) of group i's complement against
     group i, where the complement aggregates every other group's population
@@ -83,9 +51,13 @@ def structure_ratio(i: int, populations, b) -> float:
         raise DomainError("populations and b must be positive")
     if not 0 <= i < n.size:
         raise UsageError("group index out of range")
-    n_c = n.sum() - n[i]
-    b_c = b.sum() - b[i]
-    return float((b_c / n_c + 2.0) / (b[i] / n[i] + 2.0))
+    return float(_structure_ratios(n, b)[i])
+
+
+def _structure_ratios(n: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n_c = n.sum() - n
+    b_c = b.sum() - b
+    return (b_c / n_c + 2.0) / (b / n + 2.0)
 
 
 def _pair_terms(y, a, log_r1: float, z_total: int) -> np.ndarray:
@@ -152,10 +124,6 @@ def conditional_log_pmf(z1: int, y, a, b, n, z_total: int) -> float:
     return float(conditional_log_pmf_all(y, a, b, n, z_total)[z1])
 
 
-def positive_part(x: float) -> float:
-    return max(float(x), 0.0)
-
-
 def normalizer_ratio_bound(y, a, r_i: float, z_total: int) -> float:
     """Upper bound on |ln C(x)/C(y)| between neighboring pairs, valid when
     the first group has strictly smaller a + y; callers order the pair.
@@ -172,7 +140,7 @@ def normalizer_ratio_bound(y, a, r_i: float, z_total: int) -> float:
         raise UsageError("bound requires a1 + y1 < a2 + y2; order the pair")
     if not small > 1:
         raise DomainError("bound requires a1 + y1 > 1")
-    return abs(math.log((z_total * positive_part(1.0 - r_i) + large) / (small - 1.0)))
+    return abs(math.log((z_total * max(1.0 - r_i, 0.0) + large) / (small - 1.0)))
 
 
 def heterogeneity_penalty(a_pair, y_total: int, z_total: int, r_i: float) -> float:
@@ -183,10 +151,14 @@ def heterogeneity_penalty(a_pair, y_total: int, z_total: int, r_i: float) -> flo
     a_pair = np.asarray(a_pair, dtype=np.float64)
     if a_pair.shape != (2,):
         raise UsageError("a_pair must be (a_i, a_complement)")
-    denom = a_pair[1] + y_total - 1.0
-    if not denom > 0:
+    return float(_penalties(a_pair[1], y_total, z_total, r_i))
+
+
+def _penalties(a_comp, y_total: int, z_total: int, r: float):
+    denom = a_comp + y_total - 1.0
+    if not np.all(denom > 0):
         raise DomainError("a_complement + y_total - 1 must be positive")
-    return float((z_total * positive_part(1.0 - r_i) + denom) / denom)
+    return (z_total * max(1.0 - r, 0.0) + denom) / denom
 
 
 class TargetRule(str, Enum):
@@ -197,8 +169,11 @@ class TargetRule(str, Enum):
 
 @dataclass(frozen=True)
 class PgCalibration:
-    """Per-group minimal prior strengths meeting a budget, together with the
-    penalty and structure-ratio state of the solved fixed point."""
+    """A Poisson-gamma prior calibrated to a budget: the smallest prior
+    strength a_min shared by every group, with the penalties nu and structure
+    ratios r it implies. ``iterations`` counts the evaluations of the
+    certified budget the solve made; ``converged`` is True on every
+    calibration that :func:`calibrate_pg` returns."""
 
     epsilon: float
     z_total: int
@@ -217,10 +192,9 @@ class PgCalibration:
         nu = np.asarray(self.nu, dtype=np.float64)
         if np.any(nu < 1.0 - 1e-12) or np.any(nu >= e_eps):
             raise DomainError("penalty must lie in [1, e^eps)")
-        if self.converged:
-            required = self.z_total / (e_eps / nu - 1.0)
-            if np.any(np.asarray(self.a_min) < required * (1.0 - 1e-9)):
-                raise DomainError("a_min fails the budget requirement")
+        required = self.z_total / (e_eps / nu - 1.0)
+        if np.any(np.asarray(self.a_min) < required * (1.0 - 1e-9)):
+            raise DomainError("a_min fails the budget requirement")
 
     @property
     def b_min(self) -> np.ndarray:
@@ -299,30 +273,19 @@ def _resolve_targets(data: CountDataset, target_rates, rule: TargetRule) -> np.n
     return np.full(data.n_groups, national)
 
 
-def _all_structure_ratios(n: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n_c = n.sum() - n
-    b_c = b.sum() - b
-    return (b_c / n_c + 2.0) / (b / n + 2.0)
-
-
-def _penalties(a: np.ndarray, y_total: int, z_total: int, r_min: float) -> np.ndarray:
-    a_comp = a.sum() - a
-    denom = a_comp + y_total - 1.0
-    if np.any(denom <= 0):
-        raise DomainError("complement prior mass too small for the penalty")
-    return (z_total * positive_part(1.0 - r_min) + denom) / denom
-
-
 def calibrate_pg(epsilon: float, data: CountDataset, target_rates=None,
-                 rule: TargetRule = TargetRule.DEFAULT_NATIONAL,
-                 tol: float = 1e-10, max_sweeps: int = 200) -> PgCalibration:
-    """Solve the coupled budget system for the minimal prior strengths.
+                 rule: TargetRule = TargetRule.DEFAULT_NATIONAL) -> PgCalibration:
+    """The smallest prior strength, shared by every group, that meets the budget.
 
-    a, b = a/target, the structure ratios r, and the penalties nu all depend
-    on one another, so the requirement a_i = z_total / (e^eps / nu_i - 1) is
-    iterated to a fixed point (damped sweeps; the conservative min_i r_i is
-    used inside every penalty so the certificate covers every transposition).
-    Raises InfeasibleBudgetError if the budget cannot dominate the penalty.
+    With one strength a for every group (b = a / target), the budget
+    requirement a >= z_total / (e^eps / nu - 1) reads
+    pg_implied_epsilon(n, a, a / target) <= eps, and the certified budget
+    falls strictly as a grows. So the calibration is one monotone scalar
+    equation. Its penalty-free root z_total / (e^eps - 1) bounds it from
+    below (nu >= 1); the bracket is doubled from there until feasible, then
+    narrowed by Illinois regula falsi to a relative width of 1e-12. The
+    feasible end of the bracket is returned, so the certified budget never
+    exceeds eps. Raises InfeasibleBudgetError if no finite strength meets it.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
@@ -330,67 +293,70 @@ def calibrate_pg(epsilon: float, data: CountDataset, target_rates=None,
         raise DomainError("calibration needs a positive event total")
     lam0 = _resolve_targets(data, target_rates, rule)
     n = data.populations
-    y_total = z_total = data.total
+    total = data.total
+    ones = np.ones(data.n_groups)
+    evaluations = 0
 
-    e_eps = math.exp(epsilon)
-    # Start from a penalty halfway to the cap (capped at the worst case 2);
-    # a flat nu = 2 start would be infeasible for budgets at or below ln 2.
-    nu0 = min(2.0, 0.5 * (1.0 + e_eps))
-    a = np.full(data.n_groups, z_total / (e_eps / nu0 - 1.0))
+    def excess(a: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return pg_implied_epsilon(n, a * ones, a * ones / lam0, total, total) - epsilon
 
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        r = _all_structure_ratios(n, a / lam0)
-        nu = _penalties(a, y_total, z_total, float(r.min()))
-        if np.any(nu >= e_eps):
+    lo = hi = total / math.expm1(epsilon)
+    g_lo = g_hi = excess(hi)
+    while not g_hi <= 0:
+        lo, g_lo = hi, g_hi
+        hi = 2.0 * hi
+        if not math.isfinite(hi):
             raise InfeasibleBudgetError(
-                f"budget epsilon={epsilon} cannot absorb penalty nu={nu.max():.6g}")
-        required = z_total / (e_eps / nu - 1.0)
-        a_next = 0.5 * (a + required)
-        delta = float(np.max(np.abs(a_next - a) / a))
-        a = a_next
-        if delta < tol:
-            converged = True
-            break
+                f"no finite prior strength meets budget epsilon={epsilon}")
+        g_hi = excess(hi)
 
-    r = _all_structure_ratios(n, a / lam0)
-    nu = _penalties(a, y_total, z_total, float(r.min()))
-    if np.any(nu >= e_eps):
-        raise InfeasibleBudgetError(
-            f"budget epsilon={epsilon} cannot absorb penalty nu={nu.max():.6g}")
+    # Illinois regula falsi: when the same end moves twice in a row, halve the
+    # value kept at the other end so that the secant pulls it in too
+    last_moved = 0  # -1: lo moved last, 1: hi moved last
+    while g_hi < 0 and hi - lo > 1e-12 * hi:
+        a = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        g = excess(a)
+        if g > 0:
+            lo, g_lo = a, g
+            if last_moved < 0:
+                g_hi *= 0.5
+            last_moved = -1
+        else:
+            hi, g_hi = a, g
+            if last_moved > 0:
+                g_lo *= 0.5
+            last_moved = 1
+
+    a_min = hi * ones
+    r = _structure_ratios(n, a_min / lam0)
+    nu = _penalties(a_min.sum() - a_min, total, total, float(r.min()))
     return PgCalibration(
         epsilon=float(epsilon),
-        z_total=z_total,
-        y_total=y_total,
-        a_min=a,
+        z_total=total,
+        y_total=total,
+        a_min=a_min,
         nu=nu,
         r=r,
-        iterations=sweeps,
-        converged=converged,
+        iterations=evaluations,
+        converged=True,
         target_rates=lam0,
     )
 
 
-def integer_prior_strength(calibration: PgCalibration, populations,
-                           max_rounds: int = 32) -> np.ndarray:
-    """Round the calibrated strengths up to integers and re-verify the budget
-    requirement at the rounded point (rounding changes the structure ratios,
-    so the requirement is re-checked and bumped until self-consistent)."""
-    n = np.asarray(populations, dtype=np.float64)
-    e_eps = math.exp(calibration.epsilon)
-    lam0 = calibration.target_rates
+def integer_prior_strength(calibration: PgCalibration, populations) -> np.ndarray:
+    """Round the calibrated strengths up to integers and verify the budget
+    once at the rounded point. Raising a common strength only lowers the
+    certified budget, so the check fails only for a hand-built calibration;
+    it then raises InfeasibleBudgetError."""
     a = np.maximum(np.ceil(calibration.a_min), 1.0)
-    for _ in range(max_rounds):
-        r = _all_structure_ratios(n, a / lam0)
-        nu = _penalties(a, calibration.y_total, calibration.z_total, float(r.min()))
-        if np.any(nu >= e_eps):
-            raise InfeasibleBudgetError("integer rounding pushed the penalty past the budget")
-        required = calibration.z_total / (e_eps / nu - 1.0)
-        if np.all(a >= required - 1e-12):
-            return a.astype(np.int64)
-        a = np.maximum(a, np.ceil(required))
-    raise InfeasibleBudgetError("integer rounding failed to stabilize")
+    implied = pg_implied_epsilon(populations, a, a / calibration.target_rates,
+                                 calibration.y_total, calibration.z_total)
+    if implied > calibration.epsilon:
+        raise InfeasibleBudgetError(
+            f"integer strengths certify epsilon={implied:.6g} > {calibration.epsilon}")
+    return a.astype(np.int64)
 
 
 def pg_implied_epsilon(populations, a, b, y_total: int, z_total: int) -> float:
@@ -400,8 +366,8 @@ def pg_implied_epsilon(populations, a, b, y_total: int, z_total: int) -> float:
     n = np.asarray(populations, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    r = _all_structure_ratios(n, b)
-    nu = _penalties(a, int(y_total), int(z_total), float(r.min()))
+    r = _structure_ratios(n, b)
+    nu = _penalties(a.sum() - a, int(y_total), int(z_total), float(r.min()))
     return float(np.max(np.log(nu * (int(z_total) + a) / a)))
 
 

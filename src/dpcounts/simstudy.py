@@ -98,6 +98,22 @@ class StudyResult:
             raise DomainError("rMSE band must bracket its mean")
 
 
+def _weighted_mean(values, populations, idx) -> float:
+    """Population-weighted mean of ``values`` over the groups ``idx``."""
+    return float(np.sum(populations[idx] * values[idx]) / np.sum(populations[idx]))
+
+
+def _contrast_regions(state_index, populations, n_states: int):
+    """Group indices of the smallest- and largest-population states; when all
+    states tie, the next state stands in for the largest."""
+    state_pops = np.bincount(state_index, weights=populations, minlength=n_states)
+    a_state = int(np.argmin(state_pops))
+    b_state = int(np.argmax(state_pops))
+    if a_state == b_state:  # degenerate uniform populations
+        b_state = (a_state + 1) % n_states
+    return np.flatnonzero(state_index == a_state), np.flatnonzero(state_index == b_state)
+
+
 def gen_truth(scenario: Scenario) -> GroundTruth:
     """Ground-truth populations and rates for one scenario.
 
@@ -135,13 +151,7 @@ def gen_truth(scenario: Scenario) -> GroundTruth:
     else:
         rates = np.full(size, base_rate)
 
-    state_pops = np.bincount(state_index, weights=populations, minlength=scenario.n_states)
-    a_state = int(np.argmin(state_pops))
-    b_state = int(np.argmax(state_pops))
-    if a_state == b_state:  # degenerate uniform populations
-        b_state = (a_state + 1) % scenario.n_states
-    region_a = np.flatnonzero(state_index == a_state)
-    region_b = np.flatnonzero(state_index == b_state)
+    region_a, region_b = _contrast_regions(state_index, populations, scenario.n_states)
     return GroundTruth(populations=populations, rates=rates, state_ids=state_ids,
                        urban=urban, region_a=region_a, region_b=region_b)
 
@@ -194,11 +204,8 @@ def region_contrast(estimates, group_a, group_b, populations) -> float:
         raise UsageError("contrast groups must be nonempty")
     if np.intersect1d(group_a, group_b).size:
         raise UsageError("contrast groups must be disjoint")
-
-    def weighted(idx):
-        return float(np.sum(populations[idx] * estimates[idx]) / np.sum(populations[idx]))
-
-    return weighted(group_a) / weighted(group_b)
+    return (_weighted_mean(estimates, populations, group_a)
+            / _weighted_mean(estimates, populations, group_b))
 
 
 @dataclass(frozen=True)
@@ -237,22 +244,11 @@ def truth_from_dataset(data: CountDataset) -> GroundTruth:
     urban = data.populations > np.quantile(data.populations, 0.8)
     if urban.all() or not urban.any():
         urban = np.arange(data.n_groups) < max(data.n_groups // 5, 1)
-    ids = np.array(data.state_ids)
-    states, state_index = np.unique(ids, return_inverse=True)
-    state_pops = np.bincount(state_index, weights=data.populations,
-                             minlength=states.size)
-    a_state = int(np.argmin(state_pops))
-    b_state = int(np.argmax(state_pops))
-    if a_state == b_state:
-        b_state = (a_state + 1) % states.size
-    return GroundTruth(
-        populations=data.populations.copy(),
-        rates=rates,
-        state_ids=data.state_ids,
-        urban=urban,
-        region_a=np.flatnonzero(state_index == a_state),
-        region_b=np.flatnonzero(state_index == b_state),
-    )
+    states, state_index = np.unique(np.array(data.state_ids), return_inverse=True)
+    region_a, region_b = _contrast_regions(state_index, data.populations, states.size)
+    return GroundTruth(populations=data.populations.copy(), rates=rates,
+                       state_ids=data.state_ids, urban=urban,
+                       region_a=region_a, region_b=region_b)
 
 
 _METHODS = (SynthMethod.MD, SynthMethod.PG_NATIONAL, SynthMethod.PG_STATE)
@@ -273,8 +269,7 @@ def _true_state_rates(truth: GroundTruth) -> np.ndarray:
     rates = np.empty(len(ids))
     for state in np.unique(ids):
         mask = ids == state
-        rates[mask] = float(np.sum(truth.populations[mask] * truth.rates[mask])
-                            / np.sum(truth.populations[mask]))
+        rates[mask] = _weighted_mean(truth.rates, truth.populations, mask)
     return rates
 
 
@@ -305,10 +300,8 @@ def _replicate_metrics(scenario_idx: int, rep: int, truth: GroundTruth,
             estimates = rate_estimates(method, data, prior, rng)
             out[(method, e_idx)] = {
                 "rmse": rmse(estimates, truth.rates),
-                "urban": float(np.sum(truth.populations[truth.urban] * estimates[truth.urban])
-                               / np.sum(truth.populations[truth.urban])),
-                "rural": float(np.sum(truth.populations[~truth.urban] * estimates[~truth.urban])
-                               / np.sum(truth.populations[~truth.urban])),
+                "urban": _weighted_mean(estimates, truth.populations, truth.urban),
+                "rural": _weighted_mean(estimates, truth.populations, ~truth.urban),
                 "contrast": region_contrast(estimates, truth.region_a,
                                             truth.region_b, truth.populations),
             }

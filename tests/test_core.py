@@ -1,11 +1,10 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from dpcounts.core import (
     CountDataset,
@@ -14,40 +13,12 @@ from dpcounts.core import (
     Provenance,
     RngStream,
     SyntheticDataset,
-    log_gamma,
     negbin_log_pmf,
     sample_dirichlet,
     sample_gamma,
     sample_multinomial,
 )
 from dpcounts.errors import DomainError, UsageError
-
-
-class TestLogGamma:
-    def test_integer_anchors(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24), rel=1e-14)
-
-    def test_half_against_high_precision_oracle(self):
-        # oracle: 50-digit loggamma, independent of the scipy path
-        with mpmath.workdps(50):
-            expected = float(mpmath.loggamma(0.5))
-        assert log_gamma(0.5) == pytest.approx(expected, rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-12)
-
-    def test_relative_error_grid(self):
-        xs = np.concatenate([np.linspace(0.5, 20, 79), [1e3, 1e6, 1e8]])
-        with mpmath.workdps(50):
-            expected = np.array([float(mpmath.loggamma(x)) for x in xs])
-        got = log_gamma(xs)
-        nonzero = expected != 0
-        rel = np.abs(got[nonzero] - expected[nonzero]) / np.abs(expected[nonzero])
-        assert rel.max() < 1e-13
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
 
 
 class TestRngStream:
@@ -173,6 +144,20 @@ class TestNegbinLogPmf:
     def test_domain(self, r, p):
         with pytest.raises(DomainError):
             negbin_log_pmf(0, r, p)
+
+    def test_poisson_gamma_marginal_matches_quadrature(self):
+        # the group posterior predictive: Pois(z | n lam) integrated against
+        # lam | y ~ Gamma(y + a, n + b) is NegBin(y + a, n / (b + 2n))
+        y, a, b, n = 1, 2.0, 3.0, 4.0
+        shape, rate = y + a, n + b
+        for z in range(4):
+            def integrand(lam, z=z):
+                return stats.poisson.pmf(z, n * lam) * stats.gamma.pdf(lam, shape, scale=1 / rate)
+            expected, err = integrate.quad(integrand, 0, np.inf,
+                                           epsabs=1e-12, epsrel=1e-12)
+            assert err < 1e-9
+            got = math.exp(negbin_log_pmf(z, shape, n / (b + 2.0 * n)))
+            assert got == pytest.approx(expected, abs=1e-8)
 
 
 class TestCountDataset:

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
 
-from dpcounts.core import CountDataset, PriorSpec, RngStream, sample_gamma
+from dpcounts.core import CountDataset, PriorSpec, RngStream
 from dpcounts.dirichlet_mult import calibrate_md, md_log_pmf
 from dpcounts.errors import DomainError, InfeasibleBudgetError, UsageError
 from dpcounts.exact_math import exact_normalizer
@@ -26,62 +25,11 @@ from dpcounts.poisson_gamma import (
     pg_expected_counts,
     pg_implied_epsilon,
     pg_synthesize,
-    posterior_params,
-    predictive_params,
     sample_pair_allocation,
     sanitize_state_rates,
     state_target_rates,
     structure_ratio,
 )
-
-
-class TestPosterior:
-    def test_substitution(self):
-        post = posterior_params(0, 1.0, 1.0, 1.0)
-        assert (post.shape, post.rate) == (1.0, 2.0)
-        post = posterior_params(3, 2.0, 5.0, 10.0)
-        assert (post.shape, post.rate) == (5.0, 15.0)
-
-    def test_monte_carlo_mean(self):
-        post = posterior_params(10, 1.0, 2.0, 8.0)
-        draws = sample_gamma(post.shape, post.rate, RngStream(21), size=40_000)
-        se = math.sqrt(post.shape / post.rate**2 / 40_000)
-        assert abs(draws.mean() - post.mean) < 3 * se
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            posterior_params(1, 0.0, 1.0, 1.0)
-
-
-class TestPredictive:
-    def test_substitution(self):
-        n = 3.7
-        assert predictive_params(0, 1.0, n, n) == pytest.approx((1.0, 1 / 3))
-
-    def test_small_b_limit(self):
-        _, p = predictive_params(2, 1.0, 1e-12, 1.0)
-        assert p == pytest.approx(0.5, abs=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(b=st.floats(1e-6, 1e6), n=st.floats(1e-6, 1e6))
-    def test_p_below_half(self, b, n):
-        _, p = predictive_params(0, 1.0, b, n)
-        assert p < 0.5
-
-    def test_marginal_matches_quadrature(self):
-        # integrate Pois(z | n lam) against the Gamma posterior directly
-        y, a, b, n = 1, 2.0, 3.0, 4.0
-        r, p = predictive_params(y, a, b, n)
-        shape, rate = y + a, n + b
-        for z in range(4):
-            def integrand(lam, z=z):
-                return stats.poisson.pmf(z, n * lam) * stats.gamma.pdf(lam, shape, scale=1 / rate)
-            expected, err = integrate.quad(integrand, 0, np.inf,
-                                           epsabs=1e-12, epsrel=1e-12)
-            assert err < 1e-9
-            got = math.exp(math.lgamma(z + r) - math.lgamma(z + 1) - math.lgamma(r)
-                           + z * math.log(p) + r * math.log1p(-p))
-            assert got == pytest.approx(expected, abs=1e-8)
 
 
 class TestStructureRatio:
@@ -276,6 +224,21 @@ class TestCalibratePg:
                                      cal.y_total, cal.z_total)
         assert implied == pytest.approx(1.5, rel=1e-9)
 
+    @pytest.mark.parametrize("populations", [[1, 4], [2, 2], [1, 3], [1, 1, 8]],
+                             ids=["1-4", "2-2", "1-3", "1-1-8"])
+    def test_certified_budget_never_exceeds_request(self, populations):
+        # no slack: the release states eps, so the prior must certify eps
+        custom = [0.8, 0.25, 0.5][:len(populations)]
+        for y_total in (1, 2, 3, 5, 6, 10, 12):
+            data = CountDataset.from_counts([y_total] + [0] * (len(populations) - 1),
+                                            populations)
+            for eps in (math.log(2), 1.0, 2.0, 3.0, 7.0):
+                for kwargs in ({}, {"target_rates": custom, "rule": TargetRule.CUSTOM}):
+                    cal = calibrate_pg(eps, data, **kwargs)
+                    implied = pg_implied_epsilon(data.populations, cal.a_min, cal.b_min,
+                                                 y_total, y_total)
+                    assert implied <= eps, (y_total, eps, kwargs)
+
     def test_integer_rounding_keeps_requirement(self):
         data = _pair_dataset(6, [1.0, 4.0])
         cal = calibrate_pg(1.0, data, target_rates=[0.8, 0.25], rule=TargetRule.CUSTOM)
@@ -422,11 +385,12 @@ class TestBaselineEquivalence:
 
 
 def test_infeasible_budget_guard(monkeypatch):
-    # With matched totals the fixed point always exists, so force the
-    # penalty past the budget to exercise the guard branch.
+    # With matched totals a feasible strength always exists, so force the
+    # penalty past the budget to exercise the guard branch; the bracket then
+    # doubles until it overflows.
     import dpcounts.poisson_gamma as pg
 
     monkeypatch.setattr(pg, "_penalties", lambda *args, **kwargs: np.full(2, 100.0))
     data = CountDataset.from_counts([3, 3], [1.0, 1.0])
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(InfeasibleBudgetError), np.errstate(over="ignore"):
         calibrate_pg(1.0, data)
