@@ -25,20 +25,14 @@ md_prior = dp.PriorSpec.multinomial_dirichlet(alpha)
 synth = dp.md_synthesize(data, md_prior, dp.RngStream(42))
 print("\nbaseline release      :", synth.counts,
       f"(certified eps = {synth.provenance.epsilon:.3f})")
-print("baseline expectation  :",
-      np.round(dp.md_expected_counts(data.counts, alpha, data.total), 1))
 
 # Poisson-gamma smoothing toward the national rate keeps population
 # structure in the release.
 cal = dp.calibrate_pg(eps, data)
-pg_prior = cal.prior()
-synth = dp.pg_synthesize(data, pg_prior, dp.SynthesisStrategy.LAMBDA_MULTINOMIAL,
+synth = dp.pg_synthesize(data, cal.prior(), dp.SynthesisStrategy.LAMBDA_MULTINOMIAL,
                          dp.RngStream(42))
 print("\nnational-target release:", synth.counts,
       f"(certified eps = {synth.provenance.epsilon:.3f})")
-print("expected allocation    :",
-      np.round(dp.pg_expected_counts(data.counts, pg_prior.a, pg_prior.b,
-                                     data.populations), 1))
 
 # Smoothing toward state averages keeps regional rate differences too. The
 # state targets can themselves be noised before use; the noise scale is a

@@ -25,7 +25,6 @@ from .core import (
 from .dirichlet_mult import (
     MdCalibration,
     calibrate_md,
-    md_expected_counts,
     md_implied_epsilon,
     md_log_pmf,
     md_log_ratio,
@@ -43,13 +42,10 @@ from .poisson_gamma import (
     SynthesisStrategy,
     TargetRule,
     calibrate_pg,
-    conditional_log_pmf,
     conditional_log_pmf_all,
     heterogeneity_penalty,
     integer_prior_strength,
-    log_normalizer,
     normalizer_ratio_bound,
-    pg_expected_counts,
     pg_implied_epsilon,
     pg_synthesize,
     sample_pair_allocation,
@@ -66,7 +62,6 @@ from .audit import (
     bound_accuracy_sweep,
     default_bound_grid,
     enumerate_neighbors,
-    spot_check_md,
 )
 from .exact_math import (
     BivariatePoly,

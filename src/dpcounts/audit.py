@@ -10,6 +10,7 @@ a third time in exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import exact_math
-from .core import RngStream
 from .dirichlet_mult import md_log_pmf, md_log_ratio
 from .errors import DomainError, UsageError
 from .poisson_gamma import (
@@ -69,84 +69,91 @@ def enumerate_neighbors(y_total: int) -> list[tuple[tuple[int, int], tuple[int, 
     return pairs
 
 
-def _track_max(best, value: float, y, x, z):
-    if best is None or value > best[0]:
-        return (value, Witness(y=tuple(map(int, y)), x=tuple(map(int, x)), z=tuple(map(int, z))))
-    return best
-
-
-def _make_report(epsilon: float, best, checked: int) -> AuditReport:
+def _audit(epsilon: float, y_total: int, log_ratios) -> AuditReport:
+    """The enumeration every route shares: walk each ordered neighbor pair
+    once, take the row ``log_ratios(y, x)`` of ln p(z|y) - ln p(z|x) over
+    z1 = 0..y_total, and keep the first largest |value| in (pair, z1) order."""
+    best = None
+    checked = 0
+    for y, x in enumerate_neighbors(y_total):
+        row = np.abs(log_ratios(y, x))
+        z1 = int(np.argmax(row))
+        if best is None or row[z1] > best[0]:
+            best = (float(row[z1]), Witness(y=y, x=x, z=(z1, y_total - z1)))
+        checked += row.size
     max_ratio, witness = best
     return AuditReport(
         epsilon_target=float(epsilon),
-        max_abs_log_ratio=float(max_ratio),
+        max_abs_log_ratio=max_ratio,
         witness=witness,
         satisfied=max_ratio <= epsilon + AUDIT_SLACK,
         instances_checked=checked,
     )
 
 
-def _audit_md(alpha, epsilon: float, y_total: int) -> AuditReport:
+def _cross_check(value, other) -> None:
+    if np.any(np.abs(value - other) > CROSS_CHECK_TOL):
+        raise ArithmeticError("ratio evaluation routes disagree")
+
+
+def _allocations(z_total: int) -> np.ndarray:
+    """Every two-group allocation (z1, z_total - z1), z1 = 0..z_total."""
+    z1 = np.arange(z_total + 1)
+    return np.stack([z1, z_total - z1], axis=1)
+
+
+def _moved(y, x) -> tuple[int, int]:
+    """(decremented, incremented) group of a two-group neighbor pair."""
+    return (0, 1) if x[0] == y[0] - 1 else (1, 0)
+
+
+def _md_route(alpha, y_total: int):
+    """Cancelled-form md ratios, checked against pmf differences."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (2,):
         raise UsageError("exhaustive audit runs on two groups")
-    z_total = y_total
-    best = None
-    checked = 0
-    for y, x in enumerate_neighbors(y_total):
-        ya = np.array(y)
-        xa = np.array(x)
-        for z1 in range(z_total + 1):
-            z = np.array([z1, z_total - z1])
-            direct = md_log_ratio(z, ya, xa, alpha)
-            via_pmf = md_log_pmf(z, ya, alpha) - md_log_pmf(z, xa, alpha)
-            if abs(direct - via_pmf) > CROSS_CHECK_TOL:
-                raise ArithmeticError("ratio evaluation routes disagree")
-            checked += 1
-            best = _track_max(best, abs(direct), y, x, z)
-    return _make_report(epsilon, best, checked)
+    z = _allocations(y_total)
+    log_pmf = functools.cache(lambda y: md_log_pmf(z, y, alpha))
+
+    def log_ratios(y, x):
+        direct = md_log_ratio(z, y, x, alpha)
+        _cross_check(direct, log_pmf(y) - log_pmf(x))
+        return direct
+
+    return log_ratios
 
 
-def _audit_pg2(a, b, n, epsilon: float, y_total: int) -> AuditReport:
+def _pg2_route(a, b, n, y_total: int):
+    """Differences of the conditional log pmf tables, checked against the
+    cancelled form through the normalizers."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     if a.shape != (2,) or b.shape != (2,) or n.shape != (2,):
         raise UsageError("exhaustive audit runs on two groups")
-    z_total = y_total
+    z = _allocations(y_total).T
     r1 = structure_ratio(0, n, b)
-    pmf_cache: dict[tuple[int, int], np.ndarray] = {}
-    log_c_cache: dict[tuple[int, int], float] = {}
 
-    def tables_for(y):
-        if y not in pmf_cache:
-            pmf_cache[y] = conditional_log_pmf_all(np.array(y), a, b, n, z_total)
-            log_c_cache[y] = log_normalizer_from_ratio(np.array(y), a, r1, z_total)
-        return pmf_cache[y], log_c_cache[y]
+    @functools.cache
+    def tables(y):
+        return (conditional_log_pmf_all(np.array(y), a, b, n, y_total),
+                log_normalizer_from_ratio(np.array(y), a, r1, y_total))
 
-    best = None
-    checked = 0
-    for y, x in enumerate_neighbors(y_total):
-        pmf_y, log_c_y = tables_for(y)
-        pmf_x, log_c_x = tables_for(x)
-        dec = 0 if x[0] == y[0] - 1 else 1
-        inc = 1 - dec
-        for z1 in range(z_total + 1):
-            z = (z1, z_total - z1)
-            via_pmf = float(pmf_y[z1] - pmf_x[z1])
-            cancelled = (
-                log_c_x - log_c_y
-                + math.log(z[dec] + y[dec] + a[dec] - 1)
-                - math.log(z[inc] + y[inc] + a[inc])
-            )
-            if abs(via_pmf - cancelled) > CROSS_CHECK_TOL:
-                raise ArithmeticError("ratio evaluation routes disagree")
-            checked += 1
-            best = _track_max(best, abs(via_pmf), y, x, z)
-    return _make_report(epsilon, best, checked)
+    def log_ratios(y, x):
+        (pmf_y, log_c_y), (pmf_x, log_c_x) = tables(y), tables(x)
+        dec, inc = _moved(y, x)
+        via_pmf = pmf_y - pmf_x
+        cancelled = (log_c_x - log_c_y
+                     + np.log(z[dec] + y[dec] + a[dec] - 1)
+                     - np.log(z[inc] + y[inc] + a[inc]))
+        _cross_check(via_pmf, cancelled)
+        return via_pmf
+
+    return log_ratios
 
 
-def _audit_pg2_exact(a_int, b, n, epsilon: float, y_total: int) -> AuditReport:
+def _pg2_exact_route(a_int, b, n, y_total: int):
+    """Exact rational ratios, logged only at the end."""
     a_int = [int(v) for v in np.asarray(a_int)]
     b_frac = [Fraction(float(v)) for v in np.asarray(b, dtype=np.float64)]
     n_frac = [Fraction(float(v)) for v in np.asarray(n, dtype=np.float64)]
@@ -155,28 +162,20 @@ def _audit_pg2_exact(a_int, b, n, epsilon: float, y_total: int) -> AuditReport:
     if min(a_int) < 1:
         raise DomainError("exact audit requires integer a >= 1")
     r1 = (b_frac[1] / n_frac[1] + 2) / (b_frac[0] / n_frac[0] + 2)
-    z_total = y_total
-    c_cache: dict[tuple[int, int], Fraction] = {}
+    allocations = _allocations(y_total).tolist()
+    normalizer = functools.cache(
+        lambda y: exact_math.exact_normalizer(y, a_int, r1, y_total))
 
-    def normalizer(y):
-        if y not in c_cache:
-            c_cache[y] = exact_math.exact_normalizer(y, a_int, r1, z_total)
-        return c_cache[y]
-
-    best = None
-    checked = 0
-    for y, x in enumerate_neighbors(y_total):
+    def log_ratios(y, x):
         c_ratio = normalizer(x) / normalizer(y)
-        dec = 0 if x[0] == y[0] - 1 else 1
-        inc = 1 - dec
-        for z1 in range(z_total + 1):
-            z = (z1, z_total - z1)
-            ratio = c_ratio * Fraction(z[dec] + y[dec] + a_int[dec] - 1,
-                                       z[inc] + y[inc] + a_int[inc])
-            value = abs(math.log(ratio.numerator) - math.log(ratio.denominator))
-            checked += 1
-            best = _track_max(best, value, y, x, z)
-    return _make_report(epsilon, best, checked)
+        dec, inc = _moved(y, x)
+        ratios = (c_ratio * Fraction(z[dec] + y[dec] + a_int[dec] - 1,
+                                     z[inc] + y[inc] + a_int[inc])
+                  for z in allocations)
+        return np.array([math.log(r.numerator) - math.log(r.denominator)
+                         for r in ratios])
+
+    return log_ratios
 
 
 def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
@@ -186,8 +185,7 @@ def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
 
     ``mechanism`` is 'md' (needs alpha) or 'pg2' (needs a, b, populations).
     ``exact=True`` switches the pg2 route to arbitrary-precision rationals,
-    which requires integer a. Totals above the enumeration cap are refused;
-    use spot_check_md for larger instances.
+    which requires integer a. Totals above the enumeration cap are refused.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
@@ -199,47 +197,14 @@ def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
     if mechanism == "md":
         if alpha is None:
             raise UsageError("md audit requires alpha")
-        return _audit_md(alpha, epsilon, y_total)
-    if mechanism == "pg2":
+        route = _md_route(alpha, y_total)
+    elif mechanism == "pg2":
         if a is None or b is None or populations is None:
             raise UsageError("pg2 audit requires a, b, populations")
-        if exact:
-            return _audit_pg2_exact(a, b, populations, epsilon, y_total)
-        return _audit_pg2(a, b, populations, epsilon, y_total)
-    raise UsageError(f"unknown mechanism {mechanism!r}")
-
-
-def spot_check_md(alpha, epsilon: float, y_total: int, n_samples: int,
-                  rng: RngStream) -> AuditReport:
-    """Randomized audit for totals past the enumeration cap: random neighbor
-    pairs and allocations, always including the four boundary allocations
-    where the extremes occur."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (2,):
-        raise UsageError("spot check runs on two groups")
-    z_total = y_total
-    gen = rng.generator
-    best = None
-    checked = 0
-    for _ in range(int(n_samples)):
-        y1 = int(gen.integers(0, y_total + 1))
-        y = np.array([y1, y_total - y1])
-        directions = [d for d in (0, 1) if y[d] > 0]
-        if not directions:
-            continue
-        dec = directions[int(gen.integers(0, len(directions)))]
-        x = y.copy()
-        x[dec] -= 1
-        x[1 - dec] += 1
-        z_candidates = {0, z_total, int(gen.integers(0, z_total + 1))}
-        for z1 in z_candidates:
-            z = np.array([z1, z_total - z1])
-            value = abs(md_log_ratio(z, y, x, alpha))
-            checked += 1
-            best = _track_max(best, value, y, x, z)
-    if best is None:
-        raise UsageError("no valid neighbor pairs sampled")
-    return _make_report(epsilon, best, checked)
+        route = (_pg2_exact_route if exact else _pg2_route)(a, b, populations, y_total)
+    else:
+        raise UsageError(f"unknown mechanism {mechanism!r}")
+    return _audit(epsilon, y_total, route)
 
 
 @dataclass(frozen=True)

@@ -69,32 +69,35 @@ def _checked_triple(z, y, alpha):
     z = np.asarray(z, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    if not (z.shape == y.shape == alpha.shape) or z.ndim != 1:
-        raise UsageError("z, y, alpha must be 1-d vectors of equal length")
+    if (y.shape != alpha.shape or y.ndim != 1 or z.ndim not in (1, 2)
+            or z.shape[-1] != y.size):
+        raise UsageError("y, alpha must be 1-d vectors of equal length and z "
+                         "one such vector or a (k, I) batch of them")
     if np.any(z < 0) or np.any(y < 0):
         raise DomainError("counts must be non-negative")
     if np.any(alpha <= 0):
         raise DomainError("alpha must be positive")
-    if z.sum() != y.sum():
+    if np.any(z.sum(axis=-1) != y.sum()):
         raise UsageError("z must have the same total as y")
     return z, y, alpha
 
 
-def md_log_pmf(z, y, alpha) -> float:
+def md_log_pmf(z, y, alpha) -> float | np.ndarray:
     """Log of the collapsed predictive: the probability of allocation ``z``
     after integrating the multinomial weights against their Dirichlet
-    posterior given ``y``."""
+    posterior given ``y``. A (k, I) batch of allocations gives k values."""
     z, y, alpha = _checked_triple(z, y, alpha)
-    z_total = int(z.sum())
+    z_total = int(y.sum())
     ya = y + alpha
-    return float(
+    out = (
         gammaln(z_total + 1)
-        - gammaln(z + 1.0).sum()
+        - gammaln(z + 1.0).sum(axis=-1)
         + gammaln(ya.sum())
         - gammaln(ya).sum()
-        + gammaln(z + ya).sum()
+        + gammaln(z + ya).sum(axis=-1)
         - gammaln(z_total + ya.sum())
     )
+    return float(out) if z.ndim == 1 else out
 
 
 def neighbor_indices(y, x) -> tuple[int, int]:
@@ -114,8 +117,14 @@ def neighbor_indices(y, x) -> tuple[int, int]:
     return dec, inc
 
 
-def md_log_ratio(z, y, x, alpha) -> float:
-    """Exact log ratio ln p(z|y) - ln p(z|x) for neighboring y, x.
+# libm's log elementwise: numpy's vectorised log can round differently in the
+# last bit, and a batch must reproduce its single-allocation ratios exactly
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
+
+def md_log_ratio(z, y, x, alpha) -> float | np.ndarray:
+    """Exact log ratio ln p(z|y) - ln p(z|x) for neighboring y, x; a (k, I)
+    batch of allocations gives k ratios.
 
     All gamma functions cancel down to four logarithms, which keeps the
     value exact to float rounding even when the pmfs themselves underflow.
@@ -128,20 +137,10 @@ def md_log_ratio(z, y, x, alpha) -> float:
     # reproduces the identical four floats and negates the result bit-exactly.
     base_dec = alpha[dec] + min(y[dec], x[dec])
     base_inc = alpha[inc] + min(y[inc], x[inc])
-    positive = math.log(base_inc) + math.log(z[dec] + base_dec)
-    negative = math.log(base_dec) + math.log(z[inc] + base_inc)
-    return positive - negative
-
-
-def md_expected_counts(y, alpha, z_total: int) -> np.ndarray:
-    """Posterior predictive mean allocation: (y_i + alpha_i) normalized,
-    scaled to the release total."""
-    y = np.asarray(y, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if y.shape != alpha.shape:
-        raise UsageError("y and alpha must have equal length")
-    weights = y + alpha
-    return weights / weights.sum() * int(z_total)
+    positive = math.log(base_inc) + _libm_log(z[..., dec] + base_dec)
+    negative = math.log(base_dec) + _libm_log(z[..., inc] + base_inc)
+    out = positive - negative
+    return float(out) if z.ndim == 1 else out.astype(np.float64)
 
 
 def md_synthesize(data: CountDataset, prior: PriorSpec, rng: RngStream) -> SyntheticDataset:

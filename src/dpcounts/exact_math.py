@@ -173,10 +173,15 @@ def convolution_sum(c1: int, c2: int, z_total: int, p, q) -> Fraction:
         raise DomainError("z_total must be non-negative")
     p = Fraction(p)
     q = Fraction(q)
-    total = Fraction(0)
+    # summed in integers over the common denominator (p_den q_den)^T:
+    # p^z q^(T-z) = (p_num q_den)^z (q_num p_den)^(T-z) / (p_den q_den)^T
+    p_side = p.numerator * q.denominator
+    q_side = q.numerator * p.denominator
+    total = 0
     for z in range(z_total + 1):
-        total += rising_ratio(z, c1) * rising_ratio(z_total - z, c2) * p**z * q**(z_total - z)
-    return total
+        total += (rising_ratio(z, c1) * rising_ratio(z_total - z, c2)
+                  * p_side**z * q_side**(z_total - z))
+    return Fraction(total, (p.denominator * q.denominator) ** z_total)
 
 
 def closed_form_numerator(c1: int, c2: int, z_total: int) -> BivariatePoly:
@@ -216,7 +221,8 @@ def check_convolution_identity(c1: int, c2: int, z_total: int, p, q) -> Identity
 
 
 def exact_normalizer(y, a, r1, z_total: int) -> Fraction:
-    """Exact constrained-total normalizer for integer prior strengths:
+    """Exact constrained-total normalizer for integer prior strengths, the
+    convolution sum S(y1+a1, y2+a2, T; r1, 1):
 
         sum_z rising(z, y1+a1) * rising(T-z, y2+a2) * r1^z
 
@@ -233,9 +239,4 @@ def exact_normalizer(y, a, r1, z_total: int) -> Fraction:
     r1 = Fraction(r1)
     if r1 < 0:
         raise DomainError("structure ratio must be non-negative")
-    c1 = y[0] + a[0]
-    c2 = y[1] + a[1]
-    total = Fraction(0)
-    for z in range(z_total + 1):
-        total += rising_ratio(z, c1) * rising_ratio(z_total - z, c2) * r1**z
-    return total
+    return convolution_sum(y[0] + a[0], y[1] + a[1], z_total, r1, 1)

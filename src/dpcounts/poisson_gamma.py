@@ -100,12 +100,6 @@ def log_normalizer_from_ratio(y, a, r1: float, z_total: int) -> float:
     return float(logsumexp(_pair_terms(y, a, math.log(r1), int(z_total))))
 
 
-def log_normalizer(y, n, a, b, z_total: int) -> float:
-    """Log normalizer of the two-group conditional allocation pmf."""
-    y, a, b, n = _checked_pair(y, a, b, n)
-    return log_normalizer_from_ratio(y, a, structure_ratio(0, n, b), z_total)
-
-
 def conditional_log_pmf_all(y, a, b, n, z_total: int) -> np.ndarray:
     """Log pmf of the group-1 allocation over 0..z_total, conditioned on the
     pair summing to z_total."""
@@ -114,14 +108,6 @@ def conditional_log_pmf_all(y, a, b, n, z_total: int) -> np.ndarray:
         raise DomainError("z_total must be non-negative")
     terms = _pair_terms(y, a, math.log(structure_ratio(0, n, b)), int(z_total))
     return terms - logsumexp(terms)
-
-
-def conditional_log_pmf(z1: int, y, a, b, n, z_total: int) -> float:
-    """Log probability that group 1 receives ``z1`` of the ``z_total`` events."""
-    z1 = int(z1)
-    if not 0 <= z1 <= int(z_total):
-        raise DomainError("z1 must lie in 0..z_total")
-    return float(conditional_log_pmf_all(y, a, b, n, z_total)[z1])
 
 
 def normalizer_ratio_bound(y, a, r_i: float, z_total: int) -> float:
@@ -204,34 +190,22 @@ class PgCalibration:
         return PriorSpec.poisson_gamma(a=self.a_min, target_rates=self.target_rates)
 
 
-def _floored_state_rates(counts_by_state, pops_by_state, floor_scale: float):
-    rates = {}
-    for state, y_s in counts_by_state.items():
-        n_s = pops_by_state[state]
-        rates[state] = max(y_s / n_s, floor_scale / n_s)
-    return rates
-
-
 def _group_states(data: CountDataset):
+    """Per-group state index, per-state event and population totals, and
+    the states in order of first appearance."""
     if data.state_ids is None:
         raise UsageError("dataset has no state labels")
-    order = []
-    counts_by, pops_by = {}, {}
-    for state, y_i, n_i in zip(data.state_ids, data.counts, data.populations):
-        if state not in counts_by:
-            order.append(state)
-            counts_by[state] = 0.0
-            pops_by[state] = 0.0
-        counts_by[state] += float(y_i)
-        pops_by[state] += float(n_i)
-    return order, counts_by, pops_by
+    _, first, index = np.unique(np.asarray(data.state_ids), return_index=True,
+                                return_inverse=True)
+    counts = np.bincount(index, weights=data.counts)
+    pops = np.bincount(index, weights=data.populations)
+    return index, counts, pops, np.argsort(first)
 
 
 def state_target_rates(data: CountDataset, floor_scale: float = RATE_FLOOR_SCALE) -> np.ndarray:
     """Crude event rate of each group's state, floored away from zero."""
-    _, counts_by, pops_by = _group_states(data)
-    rates = _floored_state_rates(counts_by, pops_by, floor_scale)
-    return np.array([rates[s] for s in data.state_ids], dtype=np.float64)
+    index, counts, pops, _ = _group_states(data)
+    return np.maximum(counts / pops, floor_scale / pops)[index]
 
 
 def sanitize_state_rates(data: CountDataset, noise_epsilon: float, rng: RngStream,
@@ -245,13 +219,10 @@ def sanitize_state_rates(data: CountDataset, noise_epsilon: float, rng: RngStrea
     """
     if not noise_epsilon > 0:
         raise DomainError("noise_epsilon must be positive")
-    order, counts_by, pops_by = _group_states(data)
-    noisy = {}
-    for state in order:
-        e_s = float(rng.generator.laplace(0.0, 1.0 / noise_epsilon))
-        noisy[state] = counts_by[state] + e_s
-    rates = _floored_state_rates(noisy, pops_by, floor_scale)
-    return np.array([rates[s] for s in data.state_ids], dtype=np.float64)
+    index, counts, pops, order = _group_states(data)
+    noise = np.empty_like(counts)
+    noise[order] = rng.generator.laplace(0.0, 1.0 / noise_epsilon, size=order.size)
+    return np.maximum((counts + noise) / pops, floor_scale / pops)[index]
 
 
 def _resolve_targets(data: CountDataset, target_rates, rule: TargetRule) -> np.ndarray:
@@ -424,16 +395,3 @@ def pg_synthesize(data: CountDataset, prior: PriorSpec,
     )
     return SyntheticDataset(counts=counts, total=data.total, provenance=provenance)
 
-
-def pg_expected_counts(y, a, b, n, z_total: int | None = None) -> np.ndarray:
-    """Approximate mean allocation n_i (y_i + a_i) / (n_i + b_i), valid when
-    the release total matches the data total and the prior rates roughly
-    reproduce it; ``z_total`` is accepted for symmetry with the exact mean
-    of the baseline model but does not enter the approximation."""
-    y = np.asarray(y, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    if not (y.shape == a.shape == b.shape == n.shape):
-        raise UsageError("y, a, b, n must have equal length")
-    return n * (y + a) / (n + b)

@@ -281,6 +281,8 @@ def _replicate_metrics(scenario_idx: int, rep: int, truth: GroundTruth,
     data = gen_replicate(truth.populations, truth.rates, y_total,
                          master.child(scenario_idx, rep, 0),
                          state_ids=truth.state_ids)
+    state_targets = (_true_state_rates(truth) if config.state_targets_from_truth
+                     else state_target_rates(data))
     out = {}
     for e_idx, epsilon in enumerate(config.epsilons):
         for m_idx, method in enumerate(_METHODS):
@@ -291,9 +293,7 @@ def _replicate_metrics(scenario_idx: int, rep: int, truth: GroundTruth,
                 cal = pg_national_cals[e_idx]
                 prior = cal.prior()
             else:
-                targets = (_true_state_rates(truth) if config.state_targets_from_truth
-                           else state_target_rates(data))
-                cal = calibrate_pg(epsilon, data, target_rates=targets,
+                cal = calibrate_pg(epsilon, data, target_rates=state_targets,
                                    rule=TargetRule.CUSTOM)
                 prior = cal.prior()
             rng = master.child(scenario_idx, rep, 1 + m_idx, e_idx)

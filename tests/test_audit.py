@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dpcounts.audit as audit_module
 from dpcounts.audit import (
     AuditReport,
     BoundInstance,
@@ -12,12 +13,11 @@ from dpcounts.audit import (
     bound_accuracy_sweep,
     default_bound_grid,
     enumerate_neighbors,
-    spot_check_md,
 )
-from dpcounts.core import CountDataset, RngStream
+from dpcounts.core import CountDataset
 from dpcounts.dirichlet_mult import calibrate_md, md_log_ratio
 from dpcounts.errors import DomainError, UsageError
-from dpcounts.poisson_gamma import TargetRule, calibrate_pg
+from dpcounts.poisson_gamma import TargetRule, calibrate_pg, log_normalizer_from_ratio
 
 
 class TestEnumerateNeighbors:
@@ -127,20 +127,35 @@ class TestAuditReport:
                         witness=witness, satisfied=True, instances_checked=1)
 
 
-class TestSpotCheck:
-    def test_includes_boundary_allocations(self):
-        # the enumerated worst case sits on a boundary allocation, so a spot
-        # check at the same total must find the same maximum
-        alpha = [1.0, 1.0]
-        full = audit_synthesizer("md", 10.0, 6, alpha=alpha)
-        spot = spot_check_md(alpha, 10.0, 6, n_samples=400, rng=RngStream(5))
-        assert spot.max_abs_log_ratio <= full.max_abs_log_ratio + 1e-12
-        assert spot.max_abs_log_ratio == pytest.approx(full.max_abs_log_ratio, abs=1e-9)
+class TestEnumerationEngine:
+    PG_ARGS = dict(b=np.array([1.5, 4.0]), populations=np.array([1.0, 2.0]))
 
-    def test_large_total_runs(self):
-        report = spot_check_md([50.0, 50.0], 5.0, 500, n_samples=200,
-                               rng=RngStream(6))
-        assert report.instances_checked > 0
+    @pytest.mark.parametrize("total", [1, 4, 12])
+    def test_every_route_checks_every_ratio(self, total):
+        # 2T ordered neighbor pairs, each with T + 1 allocations
+        expected = 2 * total * (total + 1)
+        md = audit_synthesizer("md", 1.0, total, alpha=[1.0, 2.5])
+        flt = audit_synthesizer("pg2", 1.0, total, a=[3.0, 2.0], **self.PG_ARGS)
+        exact = audit_synthesizer("pg2", 1.0, total, a=[3, 2], exact=True,
+                                  **self.PG_ARGS)
+        assert (md.instances_checked == flt.instances_checked
+                == exact.instances_checked == expected)
+
+    def test_md_routes_must_agree(self, monkeypatch):
+        def off(z, y, x, alpha):
+            return md_log_ratio(z, y, x, alpha) + 1e-6
+        monkeypatch.setattr(audit_module, "md_log_ratio", off)
+        with pytest.raises(ArithmeticError):
+            audit_synthesizer("md", 1.0, 3, alpha=[1.0, 2.5])
+
+    def test_pg2_routes_must_agree(self, monkeypatch):
+        # shift each normalizer by an amount that depends on the dataset, so
+        # it does not cancel in the normalizer ratio
+        def off(y, a, r1, z_total):
+            return log_normalizer_from_ratio(y, a, r1, z_total) + 1e-6 * y[0]
+        monkeypatch.setattr(audit_module, "log_normalizer_from_ratio", off)
+        with pytest.raises(ArithmeticError):
+            audit_synthesizer("pg2", 1.0, 3, a=[3.0, 2.0], **self.PG_ARGS)
 
 
 class TestBoundSweep:

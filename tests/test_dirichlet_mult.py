@@ -9,7 +9,6 @@ from dpcounts.core import CountDataset, PriorSpec, RngStream
 from dpcounts.dirichlet_mult import (
     MdCalibration,
     calibrate_md,
-    md_expected_counts,
     md_implied_epsilon,
     md_log_pmf,
     md_log_ratio,
@@ -137,24 +136,24 @@ class TestMdLogRatio:
         brute = md_log_pmf(z, y, alpha) - md_log_pmf(z, x, alpha)
         assert forward == pytest.approx(brute, abs=1e-10)
 
+    def test_batch_matches_single_allocations_exactly(self):
+        alpha = np.array([0.7, 2.3])
+        y, x = np.array([2, 4]), np.array([1, 5])
+        z = np.array(list(compositions(6, 2)))
+        ratios = md_log_ratio(z, y, x, alpha)
+        pmfs = md_log_pmf(z, y, alpha)
+        assert ratios.shape == pmfs.shape == (7,)
+        for k, row in enumerate(z):
+            assert ratios[k] == md_log_ratio(row, y, x, alpha)
+            assert pmfs[k] == md_log_pmf(row, y, alpha)
+        with pytest.raises(UsageError):
+            md_log_ratio(np.array([[1, 5], [2, 3]]), y, x, alpha)
+
     def test_group_swap_invariance(self):
         alpha = np.array([2.0, 5.0])
         y, x, z = np.array([3, 1]), np.array([2, 2]), np.array([0, 4])
         swapped = abs(md_log_ratio(z[::-1], y[::-1], x[::-1], alpha[::-1]))
         assert abs(md_log_ratio(z, y, x, alpha)) == pytest.approx(swapped, abs=1e-12)
-
-
-class TestMdExpectedCounts:
-    def test_symmetry(self):
-        assert np.allclose(md_expected_counts([1, 1], [1.0, 1.0], 2), [1.0, 1.0])
-
-    def test_prior_dominant_limit(self):
-        out = md_expected_counts([5, 0], [1e15, 1e15], 10)
-        assert np.allclose(out, [5.0, 5.0], atol=1e-10)
-
-    def test_data_dominant_limit(self):
-        out = md_expected_counts([5, 0], [1e-15, 1e-15], 10)
-        assert np.allclose(out, [10.0, 0.0], atol=1e-10)
 
 
 class TestMdSynthesize:

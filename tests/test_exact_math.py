@@ -145,10 +145,14 @@ class TestExactNormalizer:
         assert value == rising_ratio(0, 3) * rising_ratio(5, 3)  # z = 0 only
 
     def test_matches_direct_convolution_sum(self):
-        # same quantity through the generic sum with p = r, q = 1
+        # same quantity as a term-by-term Fraction sum, and through the
+        # generic sum with p = r, q = 1
         for y, a, r, zt in [((1, 2), (2, 1), Fraction(2, 5), 6),
                             ((0, 0), (3, 3), Fraction(7, 3), 5)]:
-            direct = convolution_sum(y[0] + a[0], y[1] + a[1], zt, r, 1)
+            c1, c2 = y[0] + a[0], y[1] + a[1]
+            direct = sum(rising_ratio(z, c1) * rising_ratio(zt - z, c2) * r**z
+                         for z in range(zt + 1))
+            assert convolution_sum(c1, c2, zt, r, 1) == direct
             assert exact_normalizer(y, a, r, zt) == direct
 
     def test_domain(self):

@@ -15,14 +15,11 @@ from dpcounts.poisson_gamma import (
     SynthesisStrategy,
     TargetRule,
     calibrate_pg,
-    conditional_log_pmf,
     conditional_log_pmf_all,
     heterogeneity_penalty,
     integer_prior_strength,
-    log_normalizer,
     log_normalizer_from_ratio,
     normalizer_ratio_bound,
-    pg_expected_counts,
     pg_implied_epsilon,
     pg_synthesize,
     sample_pair_allocation,
@@ -80,19 +77,22 @@ class TestConditionalPmf:
         assert np.exp(log_pmf).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_entry_point(self):
-        args = ([2, 3], np.array([1.0, 2.0]), np.array([1.0, 1.0]),
-                np.array([1.0, 2.0]), 5)
-        full = conditional_log_pmf_all(*args)
-        assert conditional_log_pmf(3, *args) == pytest.approx(full[3])
+        # one entry of the table is its term over the normalizer
+        y, a, b, n = [2, 3], np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([1.0, 2.0])
+        full = conditional_log_pmf_all(y, a, b, n, 5)
+        r1 = structure_ratio(0, n, b)
+        term = (math.lgamma(3 + 3) - math.lgamma(4) + math.lgamma(2 + 5) - math.lgamma(3)
+                + 3 * math.log(r1))
+        assert full[3] == pytest.approx(term - log_normalizer_from_ratio(y, a, r1, 5))
         with pytest.raises(DomainError):
-            conditional_log_pmf(6, *args)
+            conditional_log_pmf_all(y, a, b, n, -1)
 
 
 class TestLogNormalizer:
     def test_single_term(self):
-        value = log_normalizer([1, 1], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], 0)
+        value = log_normalizer_from_ratio([1, 1], [1.0, 1.0], 1.0, 0)
         assert value == pytest.approx(0.0, abs=1e-13)
-        value = log_normalizer([3, 2], [2.0, 2.0], [1.0, 1.0], [1.0, 1.0], 0)
+        value = log_normalizer_from_ratio([3, 2], [1.0, 1.0], 1.0, 0)
         assert value == pytest.approx(math.lgamma(4) + math.lgamma(3), rel=1e-12)
 
     def test_four_unit_terms(self):
@@ -109,8 +109,8 @@ class TestLogNormalizer:
             assert got == pytest.approx(math.log(exact), abs=1e-10)
 
     def test_large_total_finite(self):
-        value = log_normalizer([10, 20], [1000.0, 500.0], [5.0, 5.0],
-                               [2.0, 2.0], 100_000)
+        r1 = structure_ratio(0, [1000.0, 500.0], [2.0, 2.0])
+        value = log_normalizer_from_ratio([10, 20], [5.0, 5.0], r1, 100_000)
         assert np.isfinite(value)
 
 
@@ -309,21 +309,6 @@ class TestSynthesize:
         assert synth.provenance.epsilon > 0
 
 
-class TestExpectedCounts:
-    def test_substitution(self):
-        out = pg_expected_counts([0], [1.0], [1.0], [1.0])
-        assert out[0] == pytest.approx(0.5)
-
-    def test_informative_limit(self):
-        out = pg_expected_counts([3, 9], [1e12, 1e12], [1e12 / 0.5, 1e12 / 2.0],
-                                 [10.0, 5.0])
-        assert np.allclose(out, [5.0, 10.0], rtol=1e-9)
-
-    def test_data_dominant_limit(self):
-        out = pg_expected_counts([3, 9], [1e-12, 1e-12], [1e-12, 1e-12], [10.0, 5.0])
-        assert np.allclose(out, [3.0, 9.0], rtol=1e-9)
-
-
 class TestStateRates:
     def _data(self):
         return CountDataset.from_counts(
@@ -349,6 +334,31 @@ class TestStateRates:
         full = sanitize_state_rates(data, 5.0, RngStream(43))
         assert full[0] == full[1]
         assert full[2] == full[3]
+
+    def test_noise_drawn_in_first_appearance_order(self):
+        data = CountDataset.from_counts([4, 6, 1], [10.0, 20.0, 30.0],
+                                        state_ids=["b", "a", "b"])
+        noise_b, noise_a = RngStream(44).generator.laplace(0.0, 1.0 / 2.0, size=2)
+        rates = sanitize_state_rates(data, 2.0, RngStream(44))
+        assert rates[0] == rates[2] == max((5 + noise_b) / 40.0, 0.1 / 40.0)
+        assert rates[1] == max((6 + noise_a) / 20.0, 0.1 / 20.0)
+
+    def test_matches_per_state_loop(self):
+        gen = np.random.default_rng(45)
+        states = [f"s{k}" for k in gen.integers(0, 7, size=60)]
+        data = CountDataset.from_counts(gen.integers(0, 4, size=60),
+                                        gen.uniform(1.0, 50.0, size=60),
+                                        state_ids=states)
+        counts, pops = {}, {}
+        for state, y_i, n_i in zip(states, data.counts, data.populations):
+            counts[state] = counts.get(state, 0.0) + float(y_i)
+            pops[state] = pops.get(state, 0.0) + float(n_i)
+        stream = RngStream(46).generator
+        noisy = {state: counts[state] + stream.laplace(0.0, 1.0) for state in counts}
+        for got, totals in ((state_target_rates(data), counts),
+                            (sanitize_state_rates(data, 1.0, RngStream(46)), noisy)):
+            expected = [max(totals[s] / pops[s], 0.1 / pops[s]) for s in states]
+            assert got.tolist() == expected
 
     def test_floor_applies(self):
         data = CountDataset.from_counts([0, 0, 7], [10.0, 10.0, 10.0],
