@@ -21,12 +21,7 @@ import numpy as np
 from . import exact_math
 from .dirichlet_mult import md_log_pmf, md_log_ratio
 from .errors import DomainError, UsageError
-from .poisson_gamma import (
-    conditional_log_pmf_all,
-    log_normalizer_from_ratio,
-    normalizer_ratio_bound,
-    structure_ratio,
-)
+from .poisson_gamma import _normalized_pair_terms, normalizer_ratio_bound, structure_ratio
 
 AUDIT_SLACK = 1e-9        # numerical slack allowed on the budget comparison
 CROSS_CHECK_TOL = 1e-10   # agreement required between ratio evaluation routes
@@ -131,13 +126,16 @@ def _pg2_route(a, b, n, y_total: int):
     n = np.asarray(n, dtype=np.float64)
     if a.shape != (2,) or b.shape != (2,) or n.shape != (2,):
         raise UsageError("exhaustive audit runs on two groups")
+    if np.any(a <= 0):
+        raise DomainError("a must be positive")
     z = _allocations(y_total).T
-    r1 = structure_ratio(0, n, b)
+    log_r1 = math.log(structure_ratio(0, n, b))
 
     @functools.cache
     def tables(y):
-        return (conditional_log_pmf_all(np.array(y), a, b, n, y_total),
-                log_normalizer_from_ratio(np.array(y), a, r1, y_total))
+        """(conditional log pmf over z1, log normalizer) of dataset y."""
+        return _normalized_pair_terms(np.array(y, dtype=np.float64), a,
+                                      log_r1, y_total)
 
     def log_ratios(y, x):
         (pmf_y, log_c_y), (pmf_x, log_c_x) = tables(y), tables(x)

@@ -517,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n-total", type=float, dest="n_total")
     sim.add_argument("--replicates", type=int)
     sim.add_argument("--epsilons")
-    sim.add_argument("--workers", type=int)
+    sim.add_argument("--workers", type=int,
+                     help="forked worker processes for the replicates, at "
+                          "most the usable CPUs; results do not depend on it")
     _add_common(sim)
 
     lem = sub("lemma-check", "exact verification of the normalizer "

@@ -73,6 +73,15 @@ def _pair_terms(y, a, log_r1: float, z_total: int) -> np.ndarray:
     )
 
 
+def _normalized_pair_terms(y, a, log_r1: float,
+                           z_total: int) -> tuple[np.ndarray, float]:
+    """(log pmf of the group-1 allocation over 0..z_total, log normalizer)
+    from one set of terms and one log-sum-exp."""
+    terms = _pair_terms(y, a, log_r1, z_total)
+    log_c = logsumexp(terms)
+    return terms - log_c, float(log_c)
+
+
 def _checked_pair(y, a, b, n):
     y = np.asarray(y, dtype=np.int64)
     a = np.asarray(a, dtype=np.float64)
@@ -106,8 +115,8 @@ def conditional_log_pmf_all(y, a, b, n, z_total: int) -> np.ndarray:
     y, a, b, n = _checked_pair(y, a, b, n)
     if z_total < 0:
         raise DomainError("z_total must be non-negative")
-    terms = _pair_terms(y, a, math.log(structure_ratio(0, n, b)), int(z_total))
-    return terms - logsumexp(terms)
+    return _normalized_pair_terms(y, a, math.log(structure_ratio(0, n, b)),
+                                  int(z_total))[0]
 
 
 def normalizer_ratio_bound(y, a, r_i: float, z_total: int) -> float:

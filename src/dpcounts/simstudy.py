@@ -7,12 +7,24 @@ smoothed to state rates) are calibrated to the same budget, a posterior rate
 draw is scored against the truth by rMSE per 100,000, and urban/rural and
 two-state contrasts are tracked. Replicates own derived random streams, so
 results are bit-identical for any worker count.
+
+With ``n_workers > 1`` the replicates run in a pool of forked worker
+processes (POSIX only). The study runs serially instead where ``fork`` is
+unavailable or the calling process has more than one thread, since forking
+a threaded process can deadlock the child. Each worker inherits the
+scenarios' truths and national calibrations from the parent and receives
+only (scenario, replicate) indices, so nothing but the small per-replicate
+metrics crosses a process boundary. On Linux a worker is sent SIGTERM when
+its parent dies, so a parent killed by a signal leaves no worker behind.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -232,6 +244,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.n_replicates < 2:
             raise DomainError("need at least two replicates for bands")
+        if self.n_workers < 1:
+            raise DomainError("n_workers must be at least 1")
 
 
 def truth_from_dataset(data: CountDataset) -> GroundTruth:
@@ -273,9 +287,10 @@ def _true_state_rates(truth: GroundTruth) -> np.ndarray:
     return rates
 
 
-def _replicate_metrics(scenario_idx: int, rep: int, truth: GroundTruth,
-                       y_total: int, config: StudyConfig,
-                       pg_national_cals: dict) -> dict:
+def _replicate_metrics(config: StudyConfig, cases: list,
+                       task: tuple[int, int]) -> dict:
+    scenario_idx, rep = task
+    _, truth, y_total, pg_national_cals = cases[scenario_idx]
     master = RngStream(config.seed)
     n_groups = truth.populations.size
     data = gen_replicate(truth.populations, truth.rates, y_total,
@@ -308,19 +323,79 @@ def _replicate_metrics(scenario_idx: int, rep: int, truth: GroundTruth,
     return out
 
 
+# (config, [(label, truth, y_total, pg_national_cals), ...]) inside a
+# forked worker; set by _install_study, never in the parent process
+_WORKER_STUDY = None
+
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _install_study(parent_pid: int, config: StudyConfig, cases: list) -> None:
+    global _WORKER_STUDY
+    _WORKER_STUDY = (config, cases)
+    # a worker blocks on the pool's call queue, whose write end its siblings
+    # also hold, so it would outlive a parent killed by a signal; have the
+    # kernel end it with the parent instead, whatever handler the parent set
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if sys.platform.startswith("linux"):
+        import ctypes
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+        if os.getppid() != parent_pid:  # the parent died before the prctl
+            os._exit(1)
+
+
+def _replicate_task(task: tuple[int, int]) -> dict:
+    return _replicate_metrics(*_WORKER_STUDY, task)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_replicates(config: StudyConfig, cases: list,
+                    tasks: list[tuple[int, int]]) -> list[dict]:
+    """Per-replicate metrics for ``tasks``, in task order. More than one
+    worker means forked processes, never more than there are tasks or
+    usable CPUs, and only from a single-threaded process."""
+    n_procs = 1
+    if config.n_workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            n_procs = min(config.n_workers, len(tasks), _usable_cpus())
+    if n_procs == 1:
+        return [_replicate_metrics(config, cases, task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, not spawn: a spawned worker re-imports numpy, scipy and this
+    # package (about 0.5 s each), and the study state would be pickled to it.
+    # The executor forks every worker on the first submit, from this thread
+    # and before it starts threads of its own.
+    with ProcessPoolExecutor(max_workers=n_procs,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_study,
+                             initargs=(os.getpid(), config, cases)) as pool:
+        # a few chunks per worker balance the load with few round trips
+        chunksize = max(1, len(tasks) // (4 * n_procs))
+        return list(pool.map(_replicate_task, tasks, chunksize=chunksize))
+
+
 def run_study(config: StudyConfig) -> list[StudyResult]:
     """Run every scenario and return one result row per
     (scenario, method, epsilon). Deterministic for a fixed config seed,
-    independent of n_workers."""
+    independent of n_workers. With n_workers > 1 the replicates run in
+    forked processes only if the caller is single-threaded (one Python
+    thread); otherwise they run serially, with the same results."""
     if config.ingested is not None:
-        cases = [("ingested", truth_from_dataset(config.ingested),
-                  config.ingested.total)]
+        truths = [("ingested", truth_from_dataset(config.ingested),
+                   config.ingested.total)]
     else:
-        cases = [(scenario.label, gen_truth(scenario), config.y_total)
-                 for scenario in _scenario_objects(config)]
+        truths = [(scenario.label, gen_truth(scenario), config.y_total)
+                  for scenario in _scenario_objects(config)]
 
-    results = []
-    for scenario_idx, (label, truth, y_total) in enumerate(cases):
+    cases = []
+    for scenario_idx, (label, truth, y_total) in enumerate(truths):
         # national-target calibrations do not depend on the replicate data
         ref_data = gen_replicate(truth.populations, truth.rates, y_total,
                                  RngStream(config.seed).child(scenario_idx, 0, 0),
@@ -329,17 +404,15 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
             e_idx: calibrate_pg(eps, ref_data, rule=TargetRule.DEFAULT_NATIONAL)
             for e_idx, eps in enumerate(config.epsilons)
         }
+        cases.append((label, truth, y_total, pg_national_cals))
 
-        def work(rep: int) -> dict:
-            return _replicate_metrics(scenario_idx, rep, truth, y_total,
-                                      config, pg_national_cals)
+    n_reps = config.n_replicates
+    tasks = [(s, rep) for s in range(len(cases)) for rep in range(n_reps)]
+    per_task = _map_replicates(config, cases, tasks)
 
-        if config.n_workers > 1:
-            with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-                per_rep = list(pool.map(work, range(config.n_replicates)))
-        else:
-            per_rep = [work(rep) for rep in range(config.n_replicates)]
-
+    results = []
+    for scenario_idx, (label, *_) in enumerate(cases):
+        per_rep = per_task[scenario_idx * n_reps:(scenario_idx + 1) * n_reps]
         for e_idx, epsilon in enumerate(config.epsilons):
             for method in _METHODS:
                 series = [rep_out[(method, e_idx)] for rep_out in per_rep]

@@ -17,7 +17,7 @@ from dpcounts.audit import (
 from dpcounts.core import CountDataset
 from dpcounts.dirichlet_mult import calibrate_md, md_log_ratio
 from dpcounts.errors import DomainError, UsageError
-from dpcounts.poisson_gamma import TargetRule, calibrate_pg, log_normalizer_from_ratio
+from dpcounts.poisson_gamma import TargetRule, _normalized_pair_terms, calibrate_pg
 
 
 class TestEnumerateNeighbors:
@@ -151,9 +151,10 @@ class TestEnumerationEngine:
     def test_pg2_routes_must_agree(self, monkeypatch):
         # shift each normalizer by an amount that depends on the dataset, so
         # it does not cancel in the normalizer ratio
-        def off(y, a, r1, z_total):
-            return log_normalizer_from_ratio(y, a, r1, z_total) + 1e-6 * y[0]
-        monkeypatch.setattr(audit_module, "log_normalizer_from_ratio", off)
+        def off(y, a, log_r1, z_total):
+            log_pmf, log_c = _normalized_pair_terms(y, a, log_r1, z_total)
+            return log_pmf, log_c + 1e-6 * y[0]
+        monkeypatch.setattr(audit_module, "_normalized_pair_terms", off)
         with pytest.raises(ArithmeticError):
             audit_synthesizer("pg2", 1.0, 3, a=[3.0, 2.0], **self.PG_ARGS)
 

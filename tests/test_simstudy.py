@@ -1,10 +1,20 @@
+import concurrent.futures
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dpcounts.simstudy as simstudy
+from dpcounts.cli import config_from_args, run
 from dpcounts.core import CountDataset, PriorSpec, RngStream
-from dpcounts.errors import DomainError, UsageError
+from dpcounts.errors import DomainError, InfeasibleBudgetError, UsageError
 from dpcounts.simstudy import (
     PopMode,
     RateMode,
@@ -164,8 +174,82 @@ class TestRunStudy:
 
     def test_worker_count_does_not_change_results(self):
         serial = run_study(self._config(n_workers=1))
-        threaded = run_study(self._config(n_workers=3))
-        assert serial == threaded
+        forked = run_study(self._config(n_workers=3))
+        assert serial == forked
+
+    def test_ingested_study_equal_across_worker_counts(self):
+        data = CountDataset.from_counts(
+            [12, 20, 30, 38, 5, 9], [1e4, 1e4, 3e4, 3e4, 2e4, 5e3],
+            state_ids=["a", "a", "b", "b", "c", "c"])
+        config = StudyConfig(n_replicates=6, epsilons=(1.0, 4.0), seed=5,
+                             ingested=data)
+        assert run_study(config) == run_study(replace(config, n_workers=2))
+
+    @staticmethod
+    def _fail_state_calibrations(monkeypatch):
+        # state-target calibrations run per replicate, i.e. inside workers;
+        # the national ones run in the parent and are left alone
+        calibrate_pg = simstudy.calibrate_pg
+
+        def failing(epsilon, data, target_rates=None, rule=None):
+            if rule is simstudy.TargetRule.CUSTOM:
+                raise InfeasibleBudgetError(f"raised in process {os.getpid()}")
+            return calibrate_pg(epsilon, data, target_rates=target_rates, rule=rule)
+        monkeypatch.setattr(simstudy, "calibrate_pg", failing)
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        self._fail_state_calibrations(monkeypatch)
+        with pytest.raises(InfeasibleBudgetError) as err:
+            run_study(self._config(n_workers=2))
+        if len(os.sched_getaffinity(0)) > 1:
+            assert str(err.value) != f"raised in process {os.getpid()}"
+
+    def test_worker_error_exit_code(self, monkeypatch, tmp_path):
+        self._fail_state_calibrations(monkeypatch)
+        argv = ["simulate", "--scenarios", "uniform-uniform", "--n-groups", "12",
+                "--y-total", "60", "--replicates", "4", "--epsilons", "1",
+                "--workers", "2", "--output", str(tmp_path / "study.csv")]
+        assert run(config_from_args(argv)) == 2
+
+    @staticmethod
+    def _record_pool_sizes(monkeypatch) -> list:
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
+        sizes = self._record_pool_sizes(monkeypatch)
+        cpus = len(os.sched_getaffinity(0))
+        serial = run_study(self._config(n_workers=1))
+        assert run_study(self._config(n_workers=1000)) == serial
+        assert sizes == ([min(cpus, 2 * 6)] if cpus > 1 else [])
+
+    def test_threaded_caller_runs_serially(self, monkeypatch):
+        sizes = self._record_pool_sizes(monkeypatch)
+        serial = run_study(self._config(n_workers=1))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = run_study(self._config(n_workers=2))
+        finally:
+            release.set()
+            other.join()
+        assert threaded == serial
+        assert sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_floor(self, workers, tmp_path):
+        with pytest.raises(DomainError):
+            self._config(n_workers=workers)
+        argv = ["simulate", "--workers", str(workers),
+                "--output", str(tmp_path / "study.csv")]
+        assert run(config_from_args(argv)) == 3
 
     def test_state_targets_help_on_heterogeneous_rates(self):
         config = self._config(
@@ -205,6 +289,70 @@ class TestRunStudy:
         data = CountDataset.from_counts([1, 2], [10.0, 10.0], state_ids=["a", "a"])
         with pytest.raises(UsageError):
             truth_from_dataset(data)
+
+
+def _children(pid: int) -> list[int]:
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        return [int(c) for c in f.read().split()]
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_until(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux /proc child lists and two usable CPUs")
+class TestWorkerTeardown:
+    """A `simulate --workers 2` process stopped mid-study leaves no worker
+    process behind."""
+
+    def _start(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(simstudy.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "dpcounts.cli", "simulate",
+                "--scenarios", "uniform-uniform", "--n-groups", "50",
+                "--y-total", "500", "--replicates", "2000", "--epsilons", "1",
+                "--workers", "2", "--output", str(tmp_path / "study.csv")]
+        proc = subprocess.Popen(argv, env=env, start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        if not _wait_until(lambda: len(_children(proc.pid)) == 2, 60):
+            proc.kill()
+            proc.wait()
+            pytest.fail("the study did not start two workers")
+        return proc, _children(proc.pid)
+
+    @pytest.mark.parametrize("stop", ["sigterm-parent", "sigint-group", "sigkill-worker"])
+    def test_no_worker_outlives_the_run(self, stop, tmp_path):
+        proc, workers = self._start(tmp_path)
+        try:
+            if stop == "sigterm-parent":      # a scheduler or timeout
+                os.kill(proc.pid, signal.SIGTERM)
+            elif stop == "sigint-group":      # Ctrl-C at a terminal
+                os.killpg(proc.pid, signal.SIGINT)
+            else:                             # a worker dies: broken pool
+                os.kill(workers[0], signal.SIGKILL)
+            assert proc.wait(60) != 0
+            assert _wait_until(lambda: not any(map(_running, workers)), 10)
+        finally:
+            for pid in [proc.pid, *workers]:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
 
 
 class TestScenarioValidation:
