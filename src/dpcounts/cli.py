@@ -173,14 +173,33 @@ def _write_json(path, config: RunConfig, payload: dict) -> None:
                           encoding="utf-8")
 
 
-def _write_table(path, config: RunConfig, header: list[str], rows: list[list]) -> None:
+def _write_table(path, config: RunConfig, header: list[str], body: list[str]) -> None:
+    """Write a long-format CSV table as UTF-8 text.
+
+    The bytes are three comment lines, ``# tool_version=<version>``,
+    ``# seed=<seed>`` and ``# config=<effective config as JSON with sorted
+    keys>``, then the header cells joined by commas, then ``body``; every line
+    ends in a single ``\\n``. Each item of ``body`` is already formatted: one
+    row, or a block of rows joined by ``\\n`` with no trailing newline.
+    """
     lines = [f"# tool_version={__version__}",
              f"# seed={config.seed}",
              f"# config={json.dumps(_config_payload(config), sort_keys=True)}",
-             ",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if cell is None else str(cell) for cell in row))
+             ",".join(header),
+             *body]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _format_row(cells) -> str:
+    """One table row: ``str`` of each cell, empty for None, joined by commas."""
+    return ",".join("" if cell is None else str(cell) for cell in cells)
+
+
+def _release_block(group_ids, replicate: int, counts: np.ndarray) -> str:
+    """One replicate of a synthesize table: a ``group_id,replicate,z`` row
+    per group, in input order."""
+    tail = f",{replicate},"
+    return "\n".join([gid + tail + str(z) for gid, z in zip(group_ids, counts.tolist())])
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
@@ -263,28 +282,29 @@ def _cmd_synthesize(config: RunConfig) -> int:
         raise UsageError("--m must be at least 1")
     data = ingest_counts(config.input_path)
     rng = RngStream(config.seed)
-    rows = []
-    provenance = None
     if config.method == "md":
         alpha_min = calibrate_md(config.epsilon, data.total).alpha_min
         prior = PriorSpec.multinomial_dirichlet(np.full(data.n_groups, alpha_min))
-        for m in range(config.m_datasets):
-            synth = md_synthesize(data, prior, rng.child(100, m))
-            provenance = synth.provenance
-            rows.extend([gid, m, int(z)] for gid, z in zip(data.group_ids, synth.counts))
+
+        def draw(stream):
+            return md_synthesize(data, prior, stream)
     elif config.method in ("pg-exact2", "pg-multinomial"):
         targets, rule = _pg_targets(config, data, rng.child(8))
         cal = calibrate_pg(config.epsilon, data, target_rates=targets, rule=rule)
         prior = cal.prior()
         strategy = (SynthesisStrategy.EXACT_PAIR if config.method == "pg-exact2"
                     else SynthesisStrategy.LAMBDA_MULTINOMIAL)
-        for m in range(config.m_datasets):
-            synth = pg_synthesize(data, prior, strategy, rng.child(100, m))
-            provenance = synth.provenance
-            rows.extend([gid, m, int(z)] for gid, z in zip(data.group_ids, synth.counts))
+
+        def draw(stream):
+            return pg_synthesize(data, prior, strategy, stream)
     else:
         raise UsageError(f"unknown synthesize method {config.method!r}")
-    _write_table(config.output_path, config, ["group_id", "replicate", "z"], rows)
+    blocks = []
+    for m in range(config.m_datasets):
+        synth = draw(rng.child(100, m))
+        blocks.append(_release_block(data.group_ids, m, synth.counts))
+    provenance = synth.provenance
+    _write_table(config.output_path, config, ["group_id", "replicate", "z"], blocks)
     sidecar = Path(config.output_path).with_suffix(".provenance.json")
     _write_json(sidecar, config, {
         "method": provenance.method,
@@ -367,14 +387,12 @@ def _cmd_simulate(config: RunConfig) -> int:
     )
     rows = []
     for res in run_study(study):
-        rows.append([res.scenario, res.method.value, res.epsilon, "rmse",
-                     res.rmse_mean, res.rmse_lo, res.rmse_hi])
-        rows.append([res.scenario, res.method.value, res.epsilon, "urban_rate",
-                     res.urban_rate, None, None])
-        rows.append([res.scenario, res.method.value, res.epsilon, "rural_rate",
-                     res.rural_rate, None, None])
-        rows.append([res.scenario, res.method.value, res.epsilon, "region_contrast",
-                     res.region_contrast, None, None])
+        key = [res.scenario, res.method.value, res.epsilon]
+        rows.append(_format_row(key + ["rmse", res.rmse_mean, res.rmse_lo, res.rmse_hi]))
+        rows.append(_format_row(key + ["urban_rate", res.urban_rate, None, None]))
+        rows.append(_format_row(key + ["rural_rate", res.rural_rate, None, None]))
+        rows.append(_format_row(key + ["region_contrast", res.region_contrast,
+                                       None, None]))
     _write_table(config.output_path, config,
                  ["scenario", "method", "epsilon", "metric", "value", "lo", "hi"],
                  rows)
@@ -394,8 +412,8 @@ def _cmd_lemma_check(config: RunConfig) -> int:
                     q = Fraction(int(gen.integers(1, 100)), int(gen.integers(1, 100)))
                     check = check_convolution_identity(c1, c2, z_total, p, q)
                     all_equal &= check.equal
-                    rows.append([c1, c2, z_total, str(p), str(q),
-                                 str(check.lhs), check.equal])
+                    rows.append(_format_row([c1, c2, z_total, p, q,
+                                             check.lhs, check.equal]))
     _write_table(config.output_path, config,
                  ["c1", "c2", "z_total", "p", "q", "value", "equal"], rows)
     return 0 if all_equal else 1
@@ -408,8 +426,9 @@ def _cmd_bound_sweep(config: RunConfig) -> int:
     rows = []
     for row in sweep.rows:
         inst = row.instance
-        rows.append([inst.y[0], inst.y[1], inst.a[0], inst.a[1], str(inst.r),
-                     inst.z_total, row.exact_abs_log_ratio, row.bound, row.slack])
+        rows.append(_format_row([inst.y[0], inst.y[1], inst.a[0], inst.a[1], inst.r,
+                                 inst.z_total, row.exact_abs_log_ratio, row.bound,
+                                 row.slack]))
     _write_table(config.output_path, config,
                  ["y1", "y2", "a1", "a2", "r", "z_total",
                   "exact_abs_log_ratio", "bound", "slack"], rows)

@@ -10,43 +10,62 @@ whose closed form is a repeated derivative of the rational expression
 
 For positive integer c1, c2, every gamma ratio is an integer rising product
 and the right-hand side is a polynomial after exact division (the numerator
-vanishes identically on the line q = p). This module verifies the identity
-and evaluates normalizers in arbitrary-precision rationals, with no floating
-point anywhere, so it can anchor every float-path audit in the package.
+vanishes identically on the line q = p). Every coefficient on that path is
+an integer: the numerator's are +-1, dividing by the monic (q - p) keeps
+integers, and differentiation multiplies by integers. So `BivariatePoly`
+stores integral coefficients as Python ints, keeping a Fraction only for a
+non-integral one, and both sides of the identity are evaluated the same way:
+summed in integers over one common denominator, with a single Fraction built
+at the end. This module verifies the identity and evaluates normalizers in
+arbitrary-precision rationals, with no floating point anywhere, so it can
+anchor every float-path audit in the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 
 Key = tuple[int, int]  # (power of p, power of q)
+Coeff = int | Fraction
+
+
+def _exact(value) -> Coeff:
+    """``value`` as an exact rational: an int when it is integral, else a
+    Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class BivariatePoly:
-    """Polynomial in two variables p, q with Fraction coefficients.
+    """Polynomial in two variables p, q with exact rational coefficients.
 
-    Coefficients are stored sparsely; zero coefficients are never kept.
+    Coefficients are stored sparsely; zero coefficients are never kept. An
+    integral coefficient is stored as an int and only a non-integral one as a
+    Fraction, so polynomials with integer coefficients never build a Fraction.
     Instances are immutable in use (operations return new polynomials).
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[Key, Fraction] | None = None):
-        cleaned: dict[Key, Fraction] = {}
+    def __init__(self, coeffs: dict[Key, Coeff] | None = None):
+        cleaned: dict[Key, Coeff] = {}
         for (dp, dq), coeff in (coeffs or {}).items():
             if dp < 0 or dq < 0:
                 raise DomainError("monomial degrees must be non-negative")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff != 0:
                 cleaned[(int(dp), int(dq))] = coeff
         self.coeffs = cleaned
 
     @classmethod
     def monomial(cls, dp: int, dq: int, coeff=1) -> "BivariatePoly":
-        return cls({(dp, dq): Fraction(coeff)})
+        return cls({(dp, dq): coeff})
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
@@ -58,24 +77,24 @@ class BivariatePoly:
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
         out = dict(self.coeffs)
         for key, coeff in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         return BivariatePoly(out)
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
         out = dict(self.coeffs)
         for key, coeff in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) - coeff
+            out[key] = out.get(key, 0) - coeff
         return BivariatePoly(out)
 
     def __mul__(self, other) -> "BivariatePoly":
         if isinstance(other, BivariatePoly):
-            out: dict[Key, Fraction] = {}
+            out: dict[Key, Coeff] = {}
             for (p1, q1), c1 in self.coeffs.items():
                 for (p2, q2), c2 in other.coeffs.items():
                     key = (p1 + p2, q1 + q2)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
+                    out[key] = out.get(key, 0) + c1 * c2
             return BivariatePoly(out)
-        scalar = Fraction(other)
+        scalar = _exact(other)
         return BivariatePoly({key: coeff * scalar for key, coeff in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -89,29 +108,40 @@ class BivariatePoly:
         return hash(frozenset(self.coeffs.items()))
 
     def differentiate(self, var: str, times: int = 1) -> "BivariatePoly":
-        """Exact partial derivative with respect to 'p' or 'q'."""
+        """Exact ``times``-fold partial derivative with respect to 'p' or 'q',
+        in one pass: d^k/dp^k p^d = d!/(d-k)! p^(d-k), zero when d < k."""
         if var not in ("p", "q"):
             raise DomainError("var must be 'p' or 'q'")
         if times < 0:
             raise DomainError("times must be non-negative")
-        poly = self
-        for _ in range(times):
-            out: dict[Key, Fraction] = {}
-            for (dp, dq), coeff in poly.coeffs.items():
-                if var == "p" and dp > 0:
-                    out[(dp - 1, dq)] = out.get((dp - 1, dq), Fraction(0)) + coeff * dp
-                elif var == "q" and dq > 0:
-                    out[(dp, dq - 1)] = out.get((dp, dq - 1), Fraction(0)) + coeff * dq
-            poly = BivariatePoly(out)
-        return poly
+        out: dict[Key, Coeff] = {}
+        for (dp, dq), coeff in self.coeffs.items():
+            if var == "p" and dp >= times:
+                out[(dp - times, dq)] = coeff * math.perm(dp, times)
+            elif var == "q" and dq >= times:
+                out[(dp, dq - times)] = coeff * math.perm(dq, times)
+        return BivariatePoly(out)
 
     def evaluate(self, p, q) -> Fraction:
+        """Exact value at rationals p, q, as one Fraction, summed in integers
+        over the common denominator L * p_den^max_dp * q_den^max_dq, where L
+        is the least common multiple of the coefficient denominators (1 for
+        integer coefficients)."""
         p = Fraction(p)
         q = Fraction(q)
-        total = Fraction(0)
+        if self.is_zero():
+            return Fraction(0)
+        max_dp = max(dp for dp, _ in self.coeffs)
+        max_dq = max(dq for _, dq in self.coeffs)
+        # a list, not a generator: on CPython 3.11, math.lcm(*generator)
+        # kept about 80 bytes per call alive (traced memory grew per call)
+        scale = math.lcm(*[coeff.denominator for coeff in self.coeffs.values()])
+        total = 0
         for (dp, dq), coeff in self.coeffs.items():
-            total += coeff * p**dp * q**dq
-        return total
+            total += (coeff.numerator * (scale // coeff.denominator)
+                      * p.numerator**dp * p.denominator**(max_dp - dp)
+                      * q.numerator**dq * q.denominator**(max_dq - dq))
+        return Fraction(total, scale * p.denominator**max_dp * q.denominator**max_dq)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -131,17 +161,17 @@ def divide_by_q_minus_p(numerator: BivariatePoly) -> BivariatePoly:
     if numerator.is_zero():
         return BivariatePoly.zero()
     # Collect coefficients of q^k as sparse polynomials in p.
-    by_q: dict[int, dict[int, Fraction]] = {}
+    by_q: dict[int, dict[int, Coeff]] = {}
     for (dp, dq), coeff in numerator.coeffs.items():
         by_q.setdefault(dq, {})[dp] = coeff
     degree = max(by_q)
-    quotient: dict[Key, Fraction] = {}
-    carry: dict[int, Fraction] = {}  # B_k, a polynomial in p
+    quotient: dict[Key, Coeff] = {}
+    carry: dict[int, Coeff] = {}  # B_k, a polynomial in p
     for k in range(degree, 0, -1):
         a_k = by_q.get(k, {})
         b_km1 = dict(carry)
         for dp, coeff in a_k.items():
-            b_km1[dp] = b_km1.get(dp, Fraction(0)) + coeff
+            b_km1[dp] = b_km1.get(dp, 0) + coeff
         for dp, coeff in b_km1.items():
             if coeff != 0:
                 quotient[(dp, k - 1)] = coeff
@@ -149,7 +179,7 @@ def divide_by_q_minus_p(numerator: BivariatePoly) -> BivariatePoly:
         carry = {dp + 1: coeff for dp, coeff in b_km1.items() if coeff != 0}
     remainder = dict(carry)
     for dp, coeff in by_q.get(0, {}).items():
-        remainder[dp] = remainder.get(dp, Fraction(0)) + coeff
+        remainder[dp] = remainder.get(dp, 0) + coeff
     if any(coeff != 0 for coeff in remainder.values()):
         raise DomainError("numerator is not divisible by (q - p)")
     return BivariatePoly(quotient)

@@ -17,7 +17,12 @@ from dpcounts.audit import (
 from dpcounts.core import CountDataset
 from dpcounts.dirichlet_mult import calibrate_md, md_log_ratio
 from dpcounts.errors import DomainError, UsageError
-from dpcounts.poisson_gamma import TargetRule, _normalized_pair_terms, calibrate_pg
+from dpcounts.poisson_gamma import (
+    TargetRule,
+    _normalized_pair_terms,
+    calibrate_pg,
+    conditional_log_pmf_all,
+)
 
 
 class TestEnumerateNeighbors:
@@ -194,3 +199,67 @@ class TestBoundSweep:
         summary = result.slack_summary()
         assert summary["count"] == len(result.rows)
         assert summary["min"] <= summary["median"] <= summary["max"]
+
+
+def _compositions(total, groups):
+    if groups == 1:
+        return [(total,)]
+    return [(head,) + rest for head in range(total + 1)
+            for rest in _compositions(total - head, groups - 1)]
+
+
+def _exact_conditional_log_pmf(c, w, total):
+    """ln p(z | sum z = total) for independent NegBin(c_i, w_i) counts,
+    over every composition z: prod_i Gamma(c_i + z_i) / z_i! * w_i^z_i,
+    normalized by the sum over compositions."""
+    zs = _compositions(total, len(c))
+    terms = [sum(math.lgamma(ci + zi) - math.lgamma(zi + 1) + zi * math.log(wi)
+                 for ci, zi, wi in zip(c, z, w)) for z in zs]
+    top = max(terms)
+    log_norm = top + math.log(sum(math.exp(t - top) for t in terms))
+    return {z: t - log_norm for z, t in zip(zs, terms)}
+
+
+class TestBudgetAtThreeGroups:
+    def test_enumeration_matches_pair_kernel(self):
+        # the independent enumeration below reproduces the package's
+        # two-group conditional pmf
+        y, a, b, n, total = (2, 1), (2.5, 1.5), (3.0, 2.0), (1.0, 4.0), 3
+        w = [ni / (2.0 * ni + bi) for ni, bi in zip(n, b)]
+        pmf = _exact_conditional_log_pmf([ai + yi for ai, yi in zip(a, y)], w, total)
+        expected = conditional_log_pmf_all(y, a, b, n, total)
+        for z1 in range(total + 1):
+            assert pmf[(z1, total - z1)] == pytest.approx(expected[z1], abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the national-target calibration pools "
+                              "the other groups' prior mass and does not bound a move "
+                              "between two of three groups; worst ratio 1.1712 > 1")
+    def test_national_witness_stays_within_budget(self):
+        # populations (1, 1, 8), eps = 1, total 4, national targets: every
+        # release z under every dataset y and each neighbor x that moves one
+        # event between two groups
+        n = [1.0, 1.0, 8.0]
+        eps, total = 1.0, 4
+        cal = calibrate_pg(eps, CountDataset.from_counts([0, 3, 1], n))
+        a = [float(v) for v in cal.a_min]
+        b = [ai / rate for ai, rate in zip(a, cal.target_rates)]
+        # predictive NegBin success probability n / (2n + b) for each group
+        w = [ni / (2.0 * ni + bi) for ni, bi in zip(n, b)]
+        pmfs = {y: _exact_conditional_log_pmf([ai + yi for ai, yi in zip(a, y)], w, total)
+                for y in _compositions(total, 3)}
+        worst, witness = 0.0, None
+        for y, pmf_y in pmfs.items():
+            for i in range(3):
+                for j in range(3):
+                    if i == j or y[i] == 0:
+                        continue
+                    x = list(y)
+                    x[i] -= 1
+                    x[j] += 1
+                    pmf_x = pmfs[tuple(x)]
+                    for z, log_p in pmf_y.items():
+                        ratio = abs(log_p - pmf_x[z])
+                        if ratio > worst:
+                            worst, witness = ratio, (y, tuple(x), z)
+        assert worst <= eps + 1e-9, f"|log ratio| {worst:.4f} at (y, x, z) = {witness}"

@@ -168,6 +168,55 @@ class TestSynthesizeCommand:
         assert out.read_bytes() == first
 
 
+RELEASE_CSV = """group_id,state_id,population,count
+01001,s01,1200.0,4
+01003,s01,800.0,2
+02013,s02,1500.0,5
+02016,s02,500.0,1
+"""
+
+PAIR_CSV = """group_id,state_id,population,count
+01001,s01,10.0,4
+01003,s02,30.0,6
+"""
+
+
+class TestReleaseFormat:
+    @pytest.mark.parametrize("method,extra,csv_text", [
+        ("md", [], RELEASE_CSV),
+        ("pg-multinomial", [], RELEASE_CSV),
+        ("pg-multinomial", ["--target-rule", "state", "--state-noise-epsilon", "0.5"],
+         RELEASE_CSV),
+        ("pg-exact2", [], PAIR_CSV),
+    ], ids=["md", "pg-national", "pg-state-noise", "pg-exact2"])
+    def test_every_body_line_is_group_replicate_count(self, tmp_path, method, extra,
+                                                      csv_text):
+        src = tmp_path / "counts.csv"
+        src.write_text(csv_text)
+        out = tmp_path / "release.csv"
+        m = 3
+        code = run_cli(["synthesize", "--method", method, "--epsilon", "1",
+                        "--input", str(src), "--m", str(m), "--seed", "11",
+                        "--output", str(out), *extra])
+        assert code == 0
+        data = ingest_counts(src)
+        assert data.group_ids[0] == "01001"
+        text = out.read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        lines = text[:-1].split("\n")
+        assert lines[0].startswith("# tool_version=")
+        assert lines[1] == "# seed=11"
+        assert json.loads(lines[2].removeprefix("# config="))["method"] == method
+        assert lines[3] == "group_id,replicate,z"
+        body = lines[4:]
+        assert len(body) == m * data.n_groups
+        for rep in range(m):
+            block = body[rep * data.n_groups:(rep + 1) * data.n_groups]
+            counts = [int(line.rsplit(",", 1)[1]) for line in block]
+            assert block == [f"{gid},{rep},{z}" for gid, z in zip(data.group_ids, counts)]
+            assert sum(counts) == data.total
+
+
 class TestSimulateCommand:
     def test_small_study_and_worker_independence(self, tmp_path):
         out = tmp_path / "study.csv"

@@ -47,6 +47,44 @@ class TestPolynomial:
         with pytest.raises(DomainError):
             BivariatePoly({(-1, 0): Fraction(1)})
 
+    def test_closed_form_path_keeps_integer_coefficients(self):
+        for c1 in range(1, 5):
+            for c2 in range(1, 5):
+                for z_total in range(1, 7):
+                    poly = divide_by_q_minus_p(closed_form_numerator(c1, c2, z_total))
+                    derived = poly.differentiate("p", c1 - 1).differentiate("q", c2 - 1)
+                    for stage in (poly, poly.differentiate("p"), derived):
+                        assert all(type(c) is int for c in stage.coeffs.values())
+
+    def test_evaluate_returns_fraction(self):
+        integral = poly_from({(2, 1): 3, (0, 0): -1})
+        rational = poly_from({(2, 1): Fraction(1, 3), (1, 0): Fraction(5, 2)})
+        for poly in (integral, rational, BivariatePoly.zero()):
+            assert type(poly.evaluate(2, Fraction(1, 3))) is Fraction
+        assert integral.evaluate(2, Fraction(1, 3)) == 3 * 2**2 * Fraction(1, 3) - 1
+        assert rational.evaluate(Fraction(3, 2), 4) == (Fraction(1, 3) * Fraction(3, 2)**2 * 4
+                                                        + Fraction(5, 2) * Fraction(3, 2))
+
+    def test_int_and_fraction_coefficients_are_one_polynomial(self):
+        ints = BivariatePoly({(2, 1): 3, (0, 4): -2})
+        fracs = BivariatePoly({(2, 1): Fraction(6, 2), (0, 4): Fraction(-2)})
+        assert ints == fracs
+        assert hash(ints) == hash(fracs)
+        assert repr(ints) == repr(fracs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6),
+                  st.fractions(min_value=-5, max_value=5)),
+        min_size=1, max_size=6),
+        var=st.sampled_from(["p", "q"]), times=st.integers(0, 7))
+    def test_repeated_derivative_is_one_pass(self, coeffs, var, times):
+        poly = BivariatePoly({(dp, dq): c for dp, dq, c in coeffs})
+        stepwise = poly
+        for _ in range(times):
+            stepwise = stepwise.differentiate(var)
+        assert poly.differentiate(var, times) == stepwise
+
 
 class TestDivideByQMinusP:
     def test_difference_of_squares(self):
