@@ -43,7 +43,6 @@ from .poisson_gamma import (
     TargetRule,
     calibrate_pg,
     conditional_log_pmf_all,
-    heterogeneity_penalty,
     integer_prior_strength,
     normalizer_ratio_bound,
     pg_implied_epsilon,

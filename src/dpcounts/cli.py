@@ -100,22 +100,26 @@ def ingest_counts(path) -> CountDataset:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise CsvParseError(f"cannot read {path}: {err}") from err
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        rows.append((line_no, next(csv.reader([line]))))
-    if not rows:
+    lines = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
+             if line.strip() and not line.startswith("#")]
+    if not lines:
         raise CsvParseError("empty file", line=1)
-    header_line, header = rows[0]
-    if [h.strip() for h in header] != COUNTS_HEADER:
-        raise CsvParseError(f"header must be {','.join(COUNTS_HEADER)}", line=header_line)
-    group_ids, state_ids, populations, counts = [], [], [], []
+    # One reader over the kept lines. A row that reads past its own line holds
+    # a quote left open; the empty line appended makes that true of the last.
+    reader = csv.reader([line for _, line in lines] + [""])
+    rows = []
     seen = set()
-    for line_no, row in rows[1:]:
+    for k, ((line_no, _), row) in enumerate(zip(lines, reader)):
+        if reader.line_num > k + 1:
+            raise CsvParseError("unclosed quote", line=line_no)
+        if k == 0:
+            if [h.strip() for h in row] != COUNTS_HEADER:
+                raise CsvParseError(f"header must be {','.join(COUNTS_HEADER)}",
+                                    line=line_no)
+            continue
         if len(row) != 4:
             raise CsvParseError("expected 4 columns", line=line_no)
-        group_id, state_id, pop_text, count_text = (cell.strip() for cell in row)
+        group_id, state_id, pop_text, count_text = map(str.strip, row)
         if not group_id:
             raise CsvParseError("empty group_id", line=line_no)
         if group_id in seen:
@@ -133,12 +137,10 @@ def ingest_counts(path) -> CountDataset:
             raise CsvParseError(f"count {count_text!r} is not an integer", line=line_no)
         if count < 0:
             raise CsvParseError("count must be non-negative", line=line_no)
-        group_ids.append(group_id)
-        state_ids.append(state_id)
-        populations.append(population)
-        counts.append(count)
-    if len(counts) < 2:
-        raise CsvParseError("need at least two data rows", line=rows[-1][0])
+        rows.append((group_id, state_id, population, count))
+    if len(rows) < 2:
+        raise CsvParseError("need at least two data rows", line=lines[-1][0])
+    group_ids, state_ids, populations, counts = zip(*rows)
     return CountDataset.from_counts(counts, populations, group_ids=group_ids,
                                     state_ids=state_ids)
 

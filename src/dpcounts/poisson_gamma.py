@@ -51,11 +51,10 @@ def structure_ratio(i: int, populations, b) -> float:
         raise DomainError("populations and b must be positive")
     if not 0 <= i < n.size:
         raise UsageError("group index out of range")
-    return float(_structure_ratios(n, b)[i])
+    return float(_structure_ratios(n, n.sum() - n, b)[i])
 
 
-def _structure_ratios(n: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n_c = n.sum() - n
+def _structure_ratios(n: np.ndarray, n_c: np.ndarray, b: np.ndarray) -> np.ndarray:
     b_c = b.sum() - b
     return (b_c / n_c + 2.0) / (b / n + 2.0)
 
@@ -136,17 +135,6 @@ def normalizer_ratio_bound(y, a, r_i: float, z_total: int) -> float:
     if not small > 1:
         raise DomainError("bound requires a1 + y1 > 1")
     return abs(math.log((z_total * max(1.0 - r_i, 0.0) + large) / (small - 1.0)))
-
-
-def heterogeneity_penalty(a_pair, y_total: int, z_total: int, r_i: float) -> float:
-    """Penalty nu_i on the budget requirement of group i, given the pair
-    (a_i, a_complement). Equals 1 when r_i >= 1 and grows as the complement's
-    prior mass shrinks; it stays within (1, 2] whenever the complement mass
-    is at least 1 and the totals match."""
-    a_pair = np.asarray(a_pair, dtype=np.float64)
-    if a_pair.shape != (2,):
-        raise UsageError("a_pair must be (a_i, a_complement)")
-    return float(_penalties(a_pair[1], y_total, z_total, r_i))
 
 
 def _penalties(a_comp, y_total: int, z_total: int, r: float):
@@ -266,6 +254,10 @@ def calibrate_pg(epsilon: float, data: CountDataset, target_rates=None,
     narrowed by Illinois regula falsi to a relative width of 1e-12. The
     feasible end of the bracket is returned, so the certified budget never
     exceeds eps. Raises InfeasibleBudgetError if no finite strength meets it.
+
+    The solve shares its kernel with pg_implied_epsilon, with a scalar
+    strength; its complement is summed over I equal strengths, so each value
+    equals pg_implied_epsilon(n, a * ones, a * ones / target) bit for bit.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
@@ -273,14 +265,15 @@ def calibrate_pg(epsilon: float, data: CountDataset, target_rates=None,
         raise DomainError("calibration needs a positive event total")
     lam0 = _resolve_targets(data, target_rates, rule)
     n = data.populations
+    n_c = n.sum() - n
     total = data.total
-    ones = np.ones(data.n_groups)
     evaluations = 0
 
     def excess(a: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return pg_implied_epsilon(n, a * ones, a * ones / lam0, total, total) - epsilon
+        a_comp = np.full(n.size, a).sum() - a
+        return _certified_epsilon(n, n_c, a, a_comp, a / lam0, total, total) - epsilon
 
     lo = hi = total / math.expm1(epsilon)
     g_lo = g_hi = excess(hi)
@@ -309,8 +302,8 @@ def calibrate_pg(epsilon: float, data: CountDataset, target_rates=None,
                 g_lo *= 0.5
             last_moved = 1
 
-    a_min = hi * ones
-    r = _structure_ratios(n, a_min / lam0)
+    a_min = np.full(n.size, hi)
+    r = _structure_ratios(n, n_c, a_min / lam0)
     nu = _penalties(a_min.sum() - a_min, total, total, float(r.min()))
     return PgCalibration(
         epsilon=float(epsilon),
@@ -342,13 +335,21 @@ def integer_prior_strength(calibration: PgCalibration, populations) -> np.ndarra
 def pg_implied_epsilon(populations, a, b, y_total: int, z_total: int) -> float:
     """The budget certified by a given Poisson-gamma prior: the largest
     per-group value of ln[nu_i (z_total + a_i) / a_i], with the conservative
-    min-over-groups structure ratio inside each penalty."""
+    min-over-groups structure ratio inside each penalty. It shares its
+    kernel with calibrate_pg's solve."""
     n = np.asarray(populations, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    r = _structure_ratios(n, b)
-    nu = _penalties(a.sum() - a, int(y_total), int(z_total), float(r.min()))
-    return float(np.max(np.log(nu * (int(z_total) + a) / a)))
+    return _certified_epsilon(n, n.sum() - n, a, a.sum() - a, b,
+                              int(y_total), int(z_total))
+
+
+def _certified_epsilon(n, n_c, a, a_comp, b, y_total: int, z_total: int) -> float:
+    """Certified-budget kernel, max ln[nu (z_total + a) / a] over groups, given
+    complement populations n_c and strengths a_comp (a, a_comp may be scalars)."""
+    r = _structure_ratios(n, n_c, b)
+    nu = _penalties(a_comp, y_total, z_total, float(r.min()))
+    return float(np.log(nu * (z_total + a) / a).max())
 
 
 class SynthesisStrategy(str, Enum):

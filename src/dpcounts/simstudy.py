@@ -8,11 +8,15 @@ draw is scored against the truth by rMSE per 100,000, and urban/rural and
 two-state contrasts are tracked. Replicates own derived random streams, so
 results are bit-identical for any worker count.
 
+The baseline and national-target priors for each budget, and the urban,
+rural and two-region score groups with their population weights, are built
+once per scenario; only the state-target prior is calibrated per replicate.
+
 With ``n_workers > 1`` the replicates run in a pool of forked worker
 processes (POSIX only). The study runs serially instead where ``fork`` is
 unavailable or the calling process has more than one thread, since forking
 a threaded process can deadlock the child. Each worker inherits the
-scenarios' truths and national calibrations from the parent and receives
+scenarios' truths, priors and score groups from the parent and receives
 only (scenario, replicate) indices, so nothing but the small per-replicate
 metrics crosses a process boundary. On Linux a worker is sent SIGTERM when
 its parent dies, so a parent killed by a signal leaves no worker behind.
@@ -110,9 +114,16 @@ class StudyResult:
             raise DomainError("rMSE band must bracket its mean")
 
 
-def _weighted_mean(values, populations, idx) -> float:
-    """Population-weighted mean of ``values`` over the groups ``idx``."""
-    return float(np.sum(populations[idx] * values[idx]) / np.sum(populations[idx]))
+def _score_group(populations, idx):
+    """Groups ``idx`` (indices or mask), their population weights and sum."""
+    weights = populations[idx]
+    return idx, weights, np.sum(weights)
+
+
+def _weighted_mean(values, group) -> float:
+    """Population-weighted mean of ``values`` over a score group."""
+    idx, weights, weight_sum = group
+    return float(np.sum(weights * values[idx]) / weight_sum)
 
 
 def _contrast_regions(state_index, populations, n_states: int):
@@ -216,8 +227,8 @@ def region_contrast(estimates, group_a, group_b, populations) -> float:
         raise UsageError("contrast groups must be nonempty")
     if np.intersect1d(group_a, group_b).size:
         raise UsageError("contrast groups must be disjoint")
-    return (_weighted_mean(estimates, populations, group_a)
-            / _weighted_mean(estimates, populations, group_b))
+    return (_weighted_mean(estimates, _score_group(populations, group_a))
+            / _weighted_mean(estimates, _score_group(populations, group_b)))
 
 
 @dataclass(frozen=True)
@@ -283,16 +294,15 @@ def _true_state_rates(truth: GroundTruth) -> np.ndarray:
     rates = np.empty(len(ids))
     for state in np.unique(ids):
         mask = ids == state
-        rates[mask] = _weighted_mean(truth.rates, truth.populations, mask)
+        rates[mask] = _weighted_mean(truth.rates, _score_group(truth.populations, mask))
     return rates
 
 
 def _replicate_metrics(config: StudyConfig, cases: list,
                        task: tuple[int, int]) -> dict:
     scenario_idx, rep = task
-    _, truth, y_total, pg_national_cals = cases[scenario_idx]
+    _, truth, y_total, priors, (urban, rural, region_a, region_b) = cases[scenario_idx]
     master = RngStream(config.seed)
-    n_groups = truth.populations.size
     data = gen_replicate(truth.populations, truth.rates, y_total,
                          master.child(scenario_idx, rep, 0),
                          state_ids=truth.state_ids)
@@ -301,30 +311,25 @@ def _replicate_metrics(config: StudyConfig, cases: list,
     out = {}
     for e_idx, epsilon in enumerate(config.epsilons):
         for m_idx, method in enumerate(_METHODS):
-            if method is SynthMethod.MD:
-                alpha_min = calibrate_md(epsilon, y_total).alpha_min
-                prior = PriorSpec.multinomial_dirichlet(np.full(n_groups, alpha_min))
-            elif method is SynthMethod.PG_NATIONAL:
-                cal = pg_national_cals[e_idx]
-                prior = cal.prior()
+            if method is SynthMethod.PG_STATE:
+                prior = calibrate_pg(epsilon, data, target_rates=state_targets,
+                                     rule=TargetRule.CUSTOM).prior()
             else:
-                cal = calibrate_pg(epsilon, data, target_rates=state_targets,
-                                   rule=TargetRule.CUSTOM)
-                prior = cal.prior()
+                prior = priors[method, e_idx]
             rng = master.child(scenario_idx, rep, 1 + m_idx, e_idx)
             estimates = rate_estimates(method, data, prior, rng)
             out[(method, e_idx)] = {
                 "rmse": rmse(estimates, truth.rates),
-                "urban": _weighted_mean(estimates, truth.populations, truth.urban),
-                "rural": _weighted_mean(estimates, truth.populations, ~truth.urban),
-                "contrast": region_contrast(estimates, truth.region_a,
-                                            truth.region_b, truth.populations),
+                "urban": _weighted_mean(estimates, urban),
+                "rural": _weighted_mean(estimates, rural),
+                "contrast": (_weighted_mean(estimates, region_a)
+                             / _weighted_mean(estimates, region_b)),
             }
     return out
 
 
-# (config, [(label, truth, y_total, pg_national_cals), ...]) inside a
-# forked worker; set by _install_study, never in the parent process
+# (config, cases) inside a forked worker; set by _install_study, never in
+# the parent process
 _WORKER_STUDY = None
 
 
@@ -394,17 +399,26 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         truths = [(scenario.label, gen_truth(scenario), config.y_total)
                   for scenario in _scenario_objects(config)]
 
+    # per scenario: (label, truth, y_total, the MD and PG-national priors by
+    # (method, epsilon index), the urban, rural, region A and B score groups)
     cases = []
     for scenario_idx, (label, truth, y_total) in enumerate(truths):
-        # national-target calibrations do not depend on the replicate data
-        ref_data = gen_replicate(truth.populations, truth.rates, y_total,
+        pops = truth.populations
+        # national targets depend on the fixed total and the populations only,
+        # so every replicate calibrates them alike; replicate 0 stands in
+        ref_data = gen_replicate(pops, truth.rates, y_total,
                                  RngStream(config.seed).child(scenario_idx, 0, 0),
                                  state_ids=truth.state_ids)
-        pg_national_cals = {
-            e_idx: calibrate_pg(eps, ref_data, rule=TargetRule.DEFAULT_NATIONAL)
-            for e_idx, eps in enumerate(config.epsilons)
-        }
-        cases.append((label, truth, y_total, pg_national_cals))
+        priors = {}
+        for e_idx, eps in enumerate(config.epsilons):
+            alpha = np.full(pops.size, calibrate_md(eps, y_total).alpha_min)
+            priors[SynthMethod.MD, e_idx] = PriorSpec.multinomial_dirichlet(alpha)
+            priors[SynthMethod.PG_NATIONAL, e_idx] = calibrate_pg(
+                eps, ref_data, rule=TargetRule.DEFAULT_NATIONAL).prior()
+        # the regions come from two distinct states, so they are disjoint
+        groups = tuple(_score_group(pops, idx) for idx in
+                       (truth.urban, ~truth.urban, truth.region_a, truth.region_b))
+        cases.append((label, truth, y_total, priors, groups))
 
     n_reps = config.n_replicates
     tasks = [(s, rep) for s in range(len(cases)) for rep in range(n_reps)]

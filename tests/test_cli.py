@@ -63,6 +63,40 @@ class TestIngest:
             ingest_counts(path)
         assert "line 1" in str(err.value)
 
+    def test_quoted_comma_is_one_field(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(MINIMAL_CSV + '"b,x",s2,50.0,1\n')
+        assert ingest_counts(path).group_ids[-1] == "b,x"
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL_CSV.replace("c1,s1,", 'c1,"s1,'),
+        MINIMAL_CSV.replace("c1,s1,100.0,3", 'c1,s1,100.0,"3'),
+        MINIMAL_CSV.replace("c3,s2,400.0,2", 'c3,s2,400.0,"2').rstrip("\n"),
+    ], ids=["three-cells", "four-cells", "last-line"])
+    def test_unclosed_quote_names_its_own_line(self, tmp_path, text):
+        # the open quote must not swallow the lines after it
+        path = tmp_path / "open.csv"
+        path.write_text(text)
+        line = 1 + next(k for k, row in enumerate(text.splitlines()) if '"' in row)
+        with pytest.raises(CsvParseError) as err:
+            ingest_counts(path)
+        assert err.value.line == line
+        assert "unclosed quote" in str(err.value)
+
+    def test_skipped_lines_keep_line_numbers(self, tmp_path):
+        text = ("# comment\n\ngroup_id,state_id,population,count\n   \n"
+                "c1,s1,100.0,3\n# c2,s1,1.0,1\nc2,s1,200.0,7\n\nc1,s2,5.0,1\n")
+        path = tmp_path / "gaps.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError) as err:
+            ingest_counts(path)
+        assert "duplicate group_id 'c1'" in str(err.value)
+        assert err.value.line == 9
+        path.write_text(text.replace("c1,s2", "c3,s2"))
+        data = ingest_counts(path)
+        assert data.group_ids == ("c1", "c2", "c3")
+        assert data.total == 11
+
 
 def run_cli(argv):
     return run(config_from_args(argv))

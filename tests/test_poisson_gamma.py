@@ -14,9 +14,10 @@ from dpcounts.poisson_gamma import (
     PgCalibration,
     SynthesisStrategy,
     TargetRule,
+    _certified_epsilon,
+    _penalties,
     calibrate_pg,
     conditional_log_pmf_all,
-    heterogeneity_penalty,
     integer_prior_strength,
     log_normalizer_from_ratio,
     normalizer_ratio_bound,
@@ -134,21 +135,22 @@ class TestNormalizerRatioBound:
 
 
 class TestHeterogeneityPenalty:
+    # _penalties(a_complement, y_total, z_total, r) is the penalty nu
     def test_no_penalty_when_ratio_at_least_one(self):
-        assert heterogeneity_penalty([3.0, 2.0], 10, 10, 1.0) == 1.0
-        assert heterogeneity_penalty([3.0, 2.0], 10, 10, 1.7) == 1.0
+        assert _penalties(2.0, 10, 10, 1.0) == 1.0
+        assert _penalties(2.0, 10, 10, 1.7) == 1.0
 
     def test_vanishes_with_informative_complement(self):
-        assert heterogeneity_penalty([1.0, 1e12], 10, 10, 0.2) == pytest.approx(1.0, abs=1e-10)
+        assert _penalties(1e12, 10, 10, 0.2) == pytest.approx(1.0, abs=1e-10)
 
     def test_worst_case_two(self):
-        assert heterogeneity_penalty([1.0, 1.0], 10, 10, 0.0) == pytest.approx(2.0)
+        assert _penalties(1.0, 10, 10, 0.0) == pytest.approx(2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(a_comp=st.floats(1.0, 1e4), y_total=st.integers(1, 1000),
            r=st.floats(0.0, 0.999))
     def test_range_when_ratio_below_one(self, a_comp, y_total, r):
-        nu = heterogeneity_penalty([1.0, a_comp], y_total, y_total, r)
+        nu = _penalties(a_comp, y_total, y_total, r)
         assert 1.0 < nu <= 2.0 or (r == 0 and nu == pytest.approx(2.0))
 
 
@@ -249,6 +251,84 @@ class TestCalibratePg:
                                      a_int / cal.target_rates,
                                      cal.y_total, cal.z_total)
         assert implied <= cal.epsilon + 1e-9
+
+
+# reference values of calibrate_pg on a small grid, computed with every
+# evaluation through pg_implied_epsilon(n, a * ones, a * ones / target): (a_min
+# and nu of every group, the smallest and largest r, iterations). r follows
+# from a_min, so its extremes pin it.
+_PINNED_CALIBRATIONS = {
+    ("pair-national", 0.6931471805599453): (5.0, 1.0, 1.0, 1.0, 1),
+    ("pair-national", 1.0): (2.9098835343466325, 1.0, 1.0, 1.0, 1),
+    ("pair-national", 3.0): (0.26197848245627975, 1.0, 1.0, 1.0, 1),
+    ("pair-custom", 0.6931471805599453): (
+        5.865315685909637, 1.0796401789808747,
+        0.8428648986142652, 1.1864297607411072, 10),
+    ("pair-custom", 1.0): (
+        3.3576057918389424, 1.0920494503338407,
+        0.8645472862176283, 1.1566747313209138, 10),
+    ("pair-custom", 3.0): (
+        0.27135482855900445, 1.0339481225544929,
+        0.9709991045612708, 1.0298670671296166, 9),
+    ("four-state", 0.6931471805599453): (
+        16.22777534431944, 1.1497735933048028,
+        0.25508448330514605, 3.0786335453474933, 10),
+    ("four-state", 1.0): (
+        9.67539961475458, 1.2133784577592803,
+        0.2882726183870591, 2.5684284373606183, 11),
+    ("four-state", 3.0): (
+        0.823635891580639, 1.2900529343995912,
+        0.6743936416595946, 1.2082039544448504, 10),
+    # at 60 groups the summed complement strength differs from a * 59
+    ("sixty-state", 0.5): (
+        742.7287404765038, 1.010583170869068,
+        0.0006012601562287928, 8.476388086836394, 10),
+    ("sixty-state", 2.0): (
+        81.08951781417112, 1.0892318009349118,
+        0.0007024694751334616, 4.33602543045636, 10),
+}
+
+
+def _pinned_dataset(name):
+    if name == "pair-national":
+        return _pair_dataset(5, [2.0, 2.0]), {}
+    if name == "pair-custom":
+        return (CountDataset.from_counts([4, 1], [1.0, 4.0]),
+                {"target_rates": [0.8, 0.25], "rule": TargetRule.CUSTOM})
+    if name == "four-state":
+        counts, pops, states = [3, 0, 7, 2], [10.0, 40.0, 25.0, 5.0], ["s1", "s1", "s2", "s2"]
+    else:
+        idx = np.arange(60)
+        counts, pops, states = idx * 5 % 17, 10.0 ** (1 + (idx * 7 % 13) / 3.0), [
+            f"s{i % 6}" for i in idx]
+    return (CountDataset.from_counts(counts, pops, state_ids=states),
+            {"rule": TargetRule.STATE_AVERAGE})
+
+
+class TestCertifiedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.lists(st.floats(0.01, 1e7), min_size=2, max_size=60),
+           data=st.data(), a=st.floats(1e-3, 1e4),
+           total=st.integers(1, 20_000))
+    def test_scalar_strength_matches_vector_path(self, n, data, a, total):
+        n = np.array(n)
+        lam = np.array(data.draw(st.lists(st.floats(1e-6, 10.0), min_size=n.size,
+                                          max_size=n.size)))
+        ones = np.ones(n.size)
+        vector = pg_implied_epsilon(n, a * ones, a * ones / lam, total, total)
+        scalar = _certified_epsilon(n, n.sum() - n, a, np.full(n.size, a).sum() - a,
+                                    a / lam, total, total)
+        assert scalar == vector
+
+    @pytest.mark.parametrize("name,eps", sorted(_PINNED_CALIBRATIONS))
+    def test_calibration_pinned(self, name, eps):
+        data, kwargs = _pinned_dataset(name)
+        a_min, nu, r_min, r_max, iterations = _PINNED_CALIBRATIONS[name, eps]
+        cal = calibrate_pg(eps, data, **kwargs)
+        assert cal.a_min.tolist() == [a_min] * data.n_groups
+        assert cal.nu.tolist() == [nu] * data.n_groups
+        assert (cal.r.min(), cal.r.max()) == (r_min, r_max)
+        assert cal.iterations == iterations
 
 
 class TestSynthesize:

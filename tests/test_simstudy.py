@@ -14,7 +14,9 @@ import pytest
 import dpcounts.simstudy as simstudy
 from dpcounts.cli import config_from_args, run
 from dpcounts.core import CountDataset, PriorSpec, RngStream
+from dpcounts.dirichlet_mult import calibrate_md
 from dpcounts.errors import DomainError, InfeasibleBudgetError, UsageError
+from dpcounts.poisson_gamma import TargetRule, calibrate_pg, state_target_rates
 from dpcounts.simstudy import (
     PopMode,
     RateMode,
@@ -289,6 +291,61 @@ class TestRunStudy:
         data = CountDataset.from_counts([1, 2], [10.0, 10.0], state_ids=["a", "a"])
         with pytest.raises(UsageError):
             truth_from_dataset(data)
+
+    @pytest.mark.parametrize("from_truth", [False, True], ids=["data", "truth"])
+    def test_replicate_metrics_match_per_replicate_reference(self, from_truth,
+                                                             monkeypatch):
+        # reference: every prior built inside the replicate, weighted means
+        # over masks, the contrast through the public region_contrast
+        config = self._config(n_replicates=3, state_targets_from_truth=from_truth,
+                              scenarios=((PopMode.HETEROGENEOUS, RateMode.HETEROGENEOUS),
+                                         (PopMode.UNIFORM, RateMode.UNIFORM)))
+        out = []
+
+        def serial(config, cases, tasks):
+            out.extend(simstudy._replicate_metrics(config, cases, task) for task in tasks)
+            return list(out)
+        monkeypatch.setattr(simstudy, "_map_replicates", serial)
+        run_study(config)
+        assert len(out) == 2 * config.n_replicates
+        master = RngStream(config.seed)
+
+        def weighted_mean(values, pops, mask):
+            return float(np.sum(pops[mask] * values[mask]) / np.sum(pops[mask]))
+
+        for s_idx, scen in enumerate(simstudy._scenario_objects(config)):
+            truth = gen_truth(scen)
+            pops = truth.populations
+            ref_data = gen_replicate(pops, truth.rates, config.y_total,
+                                     master.child(s_idx, 0, 0), state_ids=truth.state_ids)
+            ids = np.array(truth.state_ids)
+            true_state = np.empty(pops.size)
+            for state in np.unique(ids):
+                true_state[ids == state] = weighted_mean(truth.rates, pops, ids == state)
+            for rep in range(config.n_replicates):
+                got = out[s_idx * config.n_replicates + rep]
+                data = gen_replicate(pops, truth.rates, config.y_total,
+                                     master.child(s_idx, rep, 0), state_ids=truth.state_ids)
+                targets = true_state if from_truth else state_target_rates(data)
+                for e_idx, eps in enumerate(config.epsilons):
+                    for m_idx, method in enumerate(simstudy._METHODS):
+                        if method is SynthMethod.MD:
+                            alpha = calibrate_md(eps, config.y_total).alpha_min
+                            prior = PriorSpec.multinomial_dirichlet(np.full(pops.size, alpha))
+                        elif method is SynthMethod.PG_NATIONAL:
+                            prior = calibrate_pg(eps, ref_data).prior()
+                        else:
+                            prior = calibrate_pg(eps, data, target_rates=targets,
+                                                 rule=TargetRule.CUSTOM).prior()
+                        est = rate_estimates(method, data, prior,
+                                             master.child(s_idx, rep, 1 + m_idx, e_idx))
+                        assert got[method, e_idx] == {
+                            "rmse": rmse(est, truth.rates),
+                            "urban": weighted_mean(est, pops, truth.urban),
+                            "rural": weighted_mean(est, pops, ~truth.urban),
+                            "contrast": region_contrast(est, truth.region_a,
+                                                        truth.region_b, pops),
+                        }
 
 
 def _children(pid: int) -> list[int]:
