@@ -42,6 +42,7 @@ from .poisson_gamma import (
     SynthesisStrategy,
     TargetRule,
     calibrate_pg,
+    calibrate_pg_budgets,
     conditional_log_pmf_all,
     integer_prior_strength,
     normalizer_ratio_bound,

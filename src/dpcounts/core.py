@@ -35,6 +35,22 @@ def _mix64(value: int, salt: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands a fixed 128-bit key to Philox as its seed sequence, so the
+    generator is built from (seed, stream_id) alone: Philox(key=...) would
+    also draw OS entropy for a seed sequence it never uses."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise UsageError("a Philox key is two 64-bit words")
+        return self.key
+
+
 class RngStream:
     """Counter-based random stream.
 
@@ -49,7 +65,7 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._generator = np.random.Generator(np.random.Philox(key=key))
+        self._generator = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     @property
     def generator(self) -> np.random.Generator:
@@ -75,7 +91,7 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     return arr
 
@@ -86,11 +102,11 @@ def _as_count_vector(values, name: str) -> np.ndarray:
         raise DomainError(f"{name} must be a nonempty 1-d vector")
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.rint(np.asarray(arr, dtype=np.float64))
-        if not np.all(np.asarray(arr, dtype=np.float64) == rounded):
+        if not (np.asarray(arr, dtype=np.float64) == rounded).all():
             raise DomainError(f"{name} must hold integers")
         arr = rounded
     arr = arr.astype(np.int64)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise DomainError(f"{name} must be non-negative")
     return arr
 
@@ -112,7 +128,7 @@ class CountDataset:
     def __post_init__(self):
         counts = _as_count_vector(self.counts, "counts")
         populations = _as_float_vector(self.populations, "populations")
-        if np.any(populations <= 0):
+        if (populations <= 0).any():
             raise DomainError("populations must be positive")
         if counts.size < 2:
             raise DomainError("a dataset needs at least two groups")
@@ -189,7 +205,7 @@ class PriorSpec:
             if self.alpha is None:
                 raise DomainError("multinomial-Dirichlet prior requires alpha")
             alpha = _as_float_vector(self.alpha, "alpha")
-            if np.any(alpha <= 0):
+            if (alpha <= 0).any():
                 raise DomainError("alpha must be positive")
             alpha.setflags(write=False)
             object.__setattr__(self, "alpha", alpha)
@@ -200,7 +216,7 @@ class PriorSpec:
             b = _as_float_vector(self.b, "b")
             if a.size != b.size:
                 raise DomainError("a and b must have equal length")
-            if np.any(a <= 0) or np.any(b <= 0):
+            if (a <= 0).any() or (b <= 0).any():
                 raise DomainError("a and b must be positive")
             a.setflags(write=False)
             b.setflags(write=False)
@@ -208,7 +224,7 @@ class PriorSpec:
             object.__setattr__(self, "b", b)
             if self.target_rates is not None:
                 rates = _as_float_vector(self.target_rates, "target_rates")
-                if np.any(rates <= 0):
+                if (rates <= 0).any():
                     raise DomainError("target_rates must be positive")
                 if rates.size != a.size or not np.array_equal(b, a / rates):
                     raise DomainError("b must equal a / target_rates exactly")
@@ -267,7 +283,7 @@ def sample_gamma(shape, rate, rng: RngStream, size=None):
     """
     shape_arr = np.asarray(shape, dtype=np.float64)
     rate_arr = np.asarray(rate, dtype=np.float64)
-    if not (np.all(shape_arr > 0) and np.all(rate_arr > 0)):
+    if not ((shape_arr > 0).all() and (rate_arr > 0).all()):
         raise DomainError("gamma shape and rate must be positive")
     draws = rng.generator.gamma(shape_arr, 1.0 / rate_arr, size=size)
     draws = np.maximum(draws, _FLOOR)
@@ -284,7 +300,7 @@ def sample_dirichlet(alphas, rng: RngStream) -> np.ndarray:
     small alphas would otherwise underflow to an exact zero).
     """
     alphas = _as_float_vector(alphas, "alphas")
-    if np.any(alphas <= 0):
+    if (alphas <= 0).any():
         raise DomainError("Dirichlet parameters must be positive")
     raw = np.maximum(rng.generator.gamma(alphas), _FLOOR)
     return raw / raw.sum()
@@ -299,7 +315,7 @@ def sample_multinomial(total: int, probs, rng: RngStream) -> np.ndarray:
     if total < 0:
         raise DomainError("total must be non-negative")
     probs = _as_float_vector(probs, "probs")
-    if np.any(probs < 0):
+    if (probs < 0).any():
         raise DomainError("probabilities must be non-negative")
     psum = probs.sum()
     if abs(psum - 1.0) > 1e-9:

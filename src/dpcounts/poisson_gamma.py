@@ -55,7 +55,8 @@ def structure_ratio(i: int, populations, b) -> float:
 
 
 def _structure_ratios(n: np.ndarray, n_c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    b_c = b.sum() - b
+    # b is one prior-mass vector, or a (k, I) matrix with one row per lane
+    b_c = b.sum(axis=-1, keepdims=True) - b
     return (b_c / n_c + 2.0) / (b / n + 2.0)
 
 
@@ -137,11 +138,11 @@ def normalizer_ratio_bound(y, a, r_i: float, z_total: int) -> float:
     return abs(math.log((z_total * max(1.0 - r_i, 0.0) + large) / (small - 1.0)))
 
 
-def _penalties(a_comp, y_total: int, z_total: int, r: float):
+def _penalties(a_comp, y_total: int, z_total: int, r):
     denom = a_comp + y_total - 1.0
-    if not np.all(denom > 0):
+    if not np.greater(denom, 0.0).all():
         raise DomainError("a_complement + y_total - 1 must be positive")
-    return (z_total * max(1.0 - r, 0.0) + denom) / denom
+    return (z_total * np.maximum(1.0 - r, 0.0) + denom) / denom
 
 
 class TargetRule(str, Enum):
@@ -156,7 +157,7 @@ class PgCalibration:
     strength a_min shared by every group, with the penalties nu and structure
     ratios r it implies. ``iterations`` counts the evaluations of the
     certified budget the solve made; ``converged`` is True on every
-    calibration that :func:`calibrate_pg` returns."""
+    calibration that :func:`calibrate_pg_budgets` returns."""
 
     epsilon: float
     z_total: int
@@ -173,10 +174,10 @@ class PgCalibration:
             raise DomainError("epsilon must be positive")
         e_eps = math.exp(self.epsilon)
         nu = np.asarray(self.nu, dtype=np.float64)
-        if np.any(nu < 1.0 - 1e-12) or np.any(nu >= e_eps):
+        if (nu < 1.0 - 1e-12).any() or (nu >= e_eps).any():
             raise DomainError("penalty must lie in [1, e^eps)")
         required = self.z_total / (e_eps / nu - 1.0)
-        if np.any(np.asarray(self.a_min) < required * (1.0 - 1e-9)):
+        if (np.asarray(self.a_min) < required * (1.0 - 1e-9)).any():
             raise DomainError("a_min fails the budget requirement")
 
     @property
@@ -229,7 +230,7 @@ def _resolve_targets(data: CountDataset, target_rates, rule: TargetRule) -> np.n
         rates = np.asarray(target_rates, dtype=np.float64)
         if rates.shape != (data.n_groups,):
             raise UsageError("target_rates length must match the dataset")
-        if np.any(rates <= 0):
+        if (rates <= 0).any():
             raise DomainError("target_rates must be positive")
         return rates
     if rule is TargetRule.STATE_AVERAGE:
@@ -243,54 +244,116 @@ def _resolve_targets(data: CountDataset, target_rates, rule: TargetRule) -> np.n
 
 def calibrate_pg(epsilon: float, data: CountDataset, target_rates=None,
                  rule: TargetRule = TargetRule.DEFAULT_NATIONAL) -> PgCalibration:
-    """The smallest prior strength, shared by every group, that meets the budget.
+    """The smallest prior strength, shared by every group, that meets the
+    budget: the one-budget case of :func:`calibrate_pg_budgets`."""
+    return calibrate_pg_budgets((epsilon,), data, target_rates, rule)[0]
+
+
+def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
+                         rule: TargetRule = TargetRule.DEFAULT_NATIONAL
+                         ) -> tuple[PgCalibration, ...]:
+    """One calibration per budget in ``epsilons``, in order, solved in lockstep.
 
     With one strength a for every group (b = a / target), the budget
     requirement a >= z_total / (e^eps / nu - 1) reads
     pg_implied_epsilon(n, a, a / target) <= eps, and the certified budget
-    falls strictly as a grows. So the calibration is one monotone scalar
+    falls strictly as a grows. So each calibration is one monotone scalar
     equation. Its penalty-free root z_total / (e^eps - 1) bounds it from
     below (nu >= 1); the bracket is doubled from there until feasible, then
     narrowed by Illinois regula falsi to a relative width of 1e-12. The
     feasible end of the bracket is returned, so the certified budget never
-    exceeds eps. Raises InfeasibleBudgetError if no finite strength meets it.
+    exceeds eps. Raises InfeasibleBudgetError if no finite strength meets a
+    budget.
 
-    The solve shares its kernel with pg_implied_epsilon, with a scalar
-    strength; its complement is summed over I equal strengths, so each value
-    equals pg_implied_epsilon(n, a * ones, a * ones / target) bit for bit.
+    Each budget runs its own solve, so its bracket, steps and iteration
+    count do not depend on the other budgets. Each round gathers the
+    pending strength of every unfinished solve and evaluates them all in
+    one call of the certified-budget kernel, one row per budget. That
+    kernel is pg_implied_epsilon's; its complement is summed over I equal
+    strengths, so each value equals pg_implied_epsilon(n, a * ones,
+    a * ones / target) bit for bit.
     """
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
+    epsilons = [float(eps) for eps in epsilons]
+    if not epsilons:
+        raise UsageError("need at least one epsilon")
+    for eps in epsilons:
+        if not eps > 0:
+            raise DomainError("epsilon must be positive")
+        if not math.isfinite(eps):
+            raise DomainError("epsilon must be finite")
     if data.total < 1:
         raise DomainError("calibration needs a positive event total")
     lam0 = _resolve_targets(data, target_rates, rule)
     n = data.populations
     n_c = n.sum() - n
     total = data.total
-    evaluations = 0
 
-    def excess(a: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        a_comp = np.full(n.size, a).sum() - a
-        return _certified_epsilon(n, n_c, a, a_comp, a / lam0, total, total) - epsilon
+    solves = [_illinois(eps, total) for eps in epsilons]
+    pending = [solve.send(None) for solve in solves]
+    evaluations = [0] * len(solves)
+    roots = [0.0] * len(solves)
+    live = list(range(len(solves)))
+    while live:
+        if len(live) == 1:  # the kernel's vector form, with fewer broadcasts
+            a = pending[live[0]]
+            strengths = np.full(n.size, a)
+            a_comp = strengths.sum() - a
+        else:
+            a = np.array([pending[k] for k in live])
+            strengths = np.empty((a.size, n.size))
+            strengths[:] = a[:, None]
+            a_comp = strengths.sum(axis=1) - a
+        certified = _certified_epsilon(n, n_c, a, a_comp, strengths / lam0, total, total)
+        still_live = []
+        for k, value in zip(live, np.atleast_1d(certified).tolist()):
+            evaluations[k] += 1
+            try:
+                pending[k] = solves[k].send(value - epsilons[k])
+                still_live.append(k)
+            except StopIteration as done:
+                roots[k] = done.value
+        live = still_live
 
+    a_min = np.empty((len(roots), n.size))
+    a_min[:] = np.array(roots)[:, None]
+    r = _structure_ratios(n, n_c, a_min / lam0)
+    nu = _penalties(a_min.sum(axis=1, keepdims=True) - a_min, total, total,
+                    r.min(axis=1, keepdims=True))
+    return tuple(
+        PgCalibration(
+            epsilon=eps,
+            z_total=total,
+            y_total=total,
+            a_min=a_min[k],
+            nu=nu[k],
+            r=r[k],
+            iterations=evaluations[k],
+            converged=True,
+            target_rates=lam0,
+        )
+        for k, eps in enumerate(epsilons))
+
+
+def _illinois(epsilon: float, total: int):
+    """The scalar solve of one budget, as a generator: it yields each
+    strength to evaluate, is sent that strength's certified budget minus
+    epsilon, and returns the feasible end of its final bracket."""
     lo = hi = total / math.expm1(epsilon)
-    g_lo = g_hi = excess(hi)
+    g_lo = g_hi = yield hi
     while not g_hi <= 0:
         lo, g_lo = hi, g_hi
         hi = 2.0 * hi
         if not math.isfinite(hi):
             raise InfeasibleBudgetError(
                 f"no finite prior strength meets budget epsilon={epsilon}")
-        g_hi = excess(hi)
+        g_hi = yield hi
 
     # Illinois regula falsi: when the same end moves twice in a row, halve the
     # value kept at the other end so that the secant pulls it in too
     last_moved = 0  # -1: lo moved last, 1: hi moved last
     while g_hi < 0 and hi - lo > 1e-12 * hi:
         a = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        g = excess(a)
+        g = yield a
         if g > 0:
             lo, g_lo = a, g
             if last_moved < 0:
@@ -301,21 +364,7 @@ def calibrate_pg(epsilon: float, data: CountDataset, target_rates=None,
             if last_moved > 0:
                 g_lo *= 0.5
             last_moved = 1
-
-    a_min = np.full(n.size, hi)
-    r = _structure_ratios(n, n_c, a_min / lam0)
-    nu = _penalties(a_min.sum() - a_min, total, total, float(r.min()))
-    return PgCalibration(
-        epsilon=float(epsilon),
-        z_total=total,
-        y_total=total,
-        a_min=a_min,
-        nu=nu,
-        r=r,
-        iterations=evaluations,
-        converged=True,
-        target_rates=lam0,
-    )
+    return hi
 
 
 def integer_prior_strength(calibration: PgCalibration, populations) -> np.ndarray:
@@ -336,20 +385,24 @@ def pg_implied_epsilon(populations, a, b, y_total: int, z_total: int) -> float:
     """The budget certified by a given Poisson-gamma prior: the largest
     per-group value of ln[nu_i (z_total + a_i) / a_i], with the conservative
     min-over-groups structure ratio inside each penalty. It shares its
-    kernel with calibrate_pg's solve."""
+    kernel with the calibration solve (calibrate_pg_budgets)."""
     n = np.asarray(populations, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return _certified_epsilon(n, n.sum() - n, a, a.sum() - a, b,
-                              int(y_total), int(z_total))
+    return float(_certified_epsilon(n, n.sum() - n, a, a.sum() - a, b,
+                                    int(y_total), int(z_total)).max())
 
 
-def _certified_epsilon(n, n_c, a, a_comp, b, y_total: int, z_total: int) -> float:
-    """Certified-budget kernel, max ln[nu (z_total + a) / a] over groups, given
-    complement populations n_c and strengths a_comp (a, a_comp may be scalars)."""
+def _certified_epsilon(n, n_c, a, a_comp, b, y_total: int, z_total: int) -> np.ndarray:
+    """Certified-budget kernel: ln[nu (z_total + a) / a] for every group,
+    given complement populations n_c and complement strengths a_comp; the
+    budget is their maximum. Batch form: b is a (k, I) matrix with one row
+    per lane, and a and a_comp hold each lane's strength shared by all its
+    groups, so every group of a lane has the same value and the result is
+    one certified budget per lane."""
     r = _structure_ratios(n, n_c, b)
-    nu = _penalties(a_comp, y_total, z_total, float(r.min()))
-    return float(np.log(nu * (z_total + a) / a).max())
+    nu = _penalties(a_comp, y_total, z_total, r.min(axis=-1))
+    return np.log(nu * (z_total + a) / a)
 
 
 class SynthesisStrategy(str, Enum):

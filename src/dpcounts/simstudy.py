@@ -10,7 +10,9 @@ results are bit-identical for any worker count.
 
 The baseline and national-target priors for each budget, and the urban,
 rural and two-region score groups with their population weights, are built
-once per scenario; only the state-target prior is calibrated per replicate.
+once per scenario. Each replicate calibrates its state-target priors for all
+budgets in one lockstep solve, stacks its rate estimates into one row per
+(budget, method), and scores them with row reductions.
 
 With ``n_workers > 1`` the replicates run in a pool of forked worker
 processes (POSIX only). The study runs serially instead where ``fork`` is
@@ -37,7 +39,10 @@ import numpy as np
 from .core import CountDataset, PriorModel, PriorSpec, RngStream, sample_dirichlet, sample_gamma, sample_multinomial
 from .dirichlet_mult import calibrate_md
 from .errors import DomainError, UsageError
-from .poisson_gamma import RATE_FLOOR_SCALE, TargetRule, calibrate_pg, state_target_rates
+# calibrate_pg is not called here, but stays bound: perfbench's tracer wraps
+# it at every module that binds it, and its tests check this module
+from .poisson_gamma import (RATE_FLOOR_SCALE, TargetRule, calibrate_pg,  # noqa: F401
+                            calibrate_pg_budgets, state_target_rates)
 
 RMSE_SCALE = 100_000.0  # rates are reported per 100,000 population
 
@@ -115,15 +120,21 @@ class StudyResult:
 
 
 def _score_group(populations, idx):
-    """Groups ``idx`` (indices or mask), their population weights and sum."""
+    """Groups ``idx`` (indices or mask) as indices, their population weights
+    and sum."""
+    idx = np.asarray(idx)
+    if idx.dtype == bool:
+        idx = np.flatnonzero(idx)
     weights = populations[idx]
-    return idx, weights, np.sum(weights)
+    return idx, weights, weights.sum()
 
 
-def _weighted_mean(values, group) -> float:
-    """Population-weighted mean of ``values`` over a score group."""
+def _weighted_mean(values, group):
+    """Population-weighted mean of ``values`` over a score group; for a
+    matrix, one mean per row. ``take`` keeps the rows contiguous, so each
+    row sums exactly as the same values in a vector do."""
     idx, weights, weight_sum = group
-    return float(np.sum(weights * values[idx]) / weight_sum)
+    return (weights * values.take(idx, axis=-1)).sum(axis=-1) / weight_sum
 
 
 def _contrast_regions(state_index, populations, n_states: int):
@@ -227,8 +238,8 @@ def region_contrast(estimates, group_a, group_b, populations) -> float:
         raise UsageError("contrast groups must be nonempty")
     if np.intersect1d(group_a, group_b).size:
         raise UsageError("contrast groups must be disjoint")
-    return (_weighted_mean(estimates, _score_group(populations, group_a))
-            / _weighted_mean(estimates, _score_group(populations, group_b)))
+    return float(_weighted_mean(estimates, _score_group(populations, group_a))
+                 / _weighted_mean(estimates, _score_group(populations, group_b)))
 
 
 @dataclass(frozen=True)
@@ -301,31 +312,33 @@ def _true_state_rates(truth: GroundTruth) -> np.ndarray:
 def _replicate_metrics(config: StudyConfig, cases: list,
                        task: tuple[int, int]) -> dict:
     scenario_idx, rep = task
-    _, truth, y_total, priors, (urban, rural, region_a, region_b) = cases[scenario_idx]
+    _, truth, y_total, priors, groups = cases[scenario_idx]
     master = RngStream(config.seed)
     data = gen_replicate(truth.populations, truth.rates, y_total,
                          master.child(scenario_idx, rep, 0),
                          state_ids=truth.state_ids)
     state_targets = (_true_state_rates(truth) if config.state_targets_from_truth
                      else state_target_rates(data))
-    out = {}
-    for e_idx, epsilon in enumerate(config.epsilons):
+    state_cals = calibrate_pg_budgets(config.epsilons, data, target_rates=state_targets,
+                                      rule=TargetRule.CUSTOM)
+    keys, estimates = [], []
+    for e_idx, state_cal in enumerate(state_cals):
         for m_idx, method in enumerate(_METHODS):
-            if method is SynthMethod.PG_STATE:
-                prior = calibrate_pg(epsilon, data, target_rates=state_targets,
-                                     rule=TargetRule.CUSTOM).prior()
-            else:
-                prior = priors[method, e_idx]
+            prior = (state_cal.prior() if method is SynthMethod.PG_STATE
+                     else priors[method, e_idx])
             rng = master.child(scenario_idx, rep, 1 + m_idx, e_idx)
-            estimates = rate_estimates(method, data, prior, rng)
-            out[(method, e_idx)] = {
-                "rmse": rmse(estimates, truth.rates),
-                "urban": _weighted_mean(estimates, urban),
-                "rural": _weighted_mean(estimates, rural),
-                "contrast": (_weighted_mean(estimates, region_a)
-                             / _weighted_mean(estimates, region_b)),
-            }
-    return out
+            keys.append((method, e_idx))
+            estimates.append(rate_estimates(method, data, prior, rng))
+    # one row per (epsilon, method), scored by row reductions
+    estimates = np.array(estimates)
+    rmses = RMSE_SCALE * np.sqrt(np.mean((estimates - truth.rates) ** 2, axis=1))
+    urban, rural, region_a, region_b = (_weighted_mean(estimates, group)
+                                        for group in groups)
+    return {key: {"rmse": m_rmse, "urban": m_urban, "rural": m_rural,
+                  "contrast": m_contrast}
+            for key, m_rmse, m_urban, m_rural, m_contrast in zip(
+                keys, rmses.tolist(), urban.tolist(), rural.tolist(),
+                (region_a / region_b).tolist())}
 
 
 # (config, cases) inside a forked worker; set by _install_study, never in
@@ -409,12 +422,13 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         ref_data = gen_replicate(pops, truth.rates, y_total,
                                  RngStream(config.seed).child(scenario_idx, 0, 0),
                                  state_ids=truth.state_ids)
+        national = calibrate_pg_budgets(config.epsilons, ref_data,
+                                        rule=TargetRule.DEFAULT_NATIONAL)
         priors = {}
         for e_idx, eps in enumerate(config.epsilons):
             alpha = np.full(pops.size, calibrate_md(eps, y_total).alpha_min)
             priors[SynthMethod.MD, e_idx] = PriorSpec.multinomial_dirichlet(alpha)
-            priors[SynthMethod.PG_NATIONAL, e_idx] = calibrate_pg(
-                eps, ref_data, rule=TargetRule.DEFAULT_NATIONAL).prior()
+            priors[SynthMethod.PG_NATIONAL, e_idx] = national[e_idx].prior()
         # the regions come from two distinct states, so they are disjoint
         groups = tuple(_score_group(pops, idx) for idx in
                        (truth.urban, ~truth.urban, truth.region_a, truth.region_b))

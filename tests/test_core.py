@@ -37,6 +37,17 @@ class TestRngStream:
         assert root.child(1, 2).stream_id != root.child(2, 1).stream_id
         assert root.child(1, 2).stream_id == root.child(1, 2).stream_id
 
+    @pytest.mark.parametrize("stream_id", [0, 1, 45, 2**63, 2**64 - 1])
+    def test_stream_is_philox_keyed_by_seed_and_id(self, stream_id):
+        # the generator is Philox with key [seed, stream_id] and counter 0,
+        # whatever way it is built
+        key = np.array([20260808, stream_id], dtype=np.uint64)
+        reference = np.random.Generator(np.random.Philox(key=key))
+        gen = RngStream(20260808, stream_id).generator
+        assert str(gen.bit_generator.state) == str(reference.bit_generator.state)
+        assert np.array_equal(gen.random(8), reference.random(8))
+        assert np.array_equal(gen.integers(0, 2**62, size=5), reference.integers(0, 2**62, size=5))
+
 
 class TestSampleGamma:
     def test_mean(self):

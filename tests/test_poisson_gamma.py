@@ -17,6 +17,7 @@ from dpcounts.poisson_gamma import (
     _certified_epsilon,
     _penalties,
     calibrate_pg,
+    calibrate_pg_budgets,
     conditional_log_pmf_all,
     integer_prior_strength,
     log_normalizer_from_ratio,
@@ -329,6 +330,95 @@ class TestCertifiedKernel:
         assert cal.nu.tolist() == [nu] * data.n_groups
         assert (cal.r.min(), cal.r.max()) == (r_min, r_max)
         assert cal.iterations == iterations
+
+
+def _same_calibration(got, want):
+    return (got.epsilon == want.epsilon
+            and got.a_min.tolist() == want.a_min.tolist()
+            and got.nu.tolist() == want.nu.tolist()
+            and got.r.tolist() == want.r.tolist()
+            and got.iterations == want.iterations
+            and got.target_rates.tolist() == want.target_rates.tolist())
+
+
+_ACCEPTANCE_EPS = (math.log(2.0), 1.0, 2.0, 3.0, 7.0)
+
+
+class TestCalibrateBudgets:
+    # every budget is its own solve: a lane of the batch equals the
+    # one-budget call, whatever the other lanes are
+
+    @pytest.mark.parametrize("name", ["pair-national", "pair-custom", "four-state",
+                                      "sixty-state"])
+    @pytest.mark.parametrize("epsilons", [
+        _ACCEPTANCE_EPS,
+        (7.0, 0.5, 2.0, math.log(2.0), 1.0),
+        (1.0, 1.0, 3.0, 1.0),
+        (2.0,),
+    ], ids=["acceptance-grid", "unsorted", "repeated", "one"])
+    def test_lanes_match_one_budget_calls(self, name, epsilons):
+        data, kwargs = _pinned_dataset(name)
+        batch = calibrate_pg_budgets(epsilons, data, **kwargs)
+        assert len(batch) == len(epsilons)
+        for eps, cal in zip(epsilons, batch):
+            assert _same_calibration(cal, calibrate_pg(eps, data, **kwargs)), eps
+
+    def test_lanes_keep_pinned_values(self):
+        for name in ("pair-custom", "four-state", "sixty-state"):
+            data, kwargs = _pinned_dataset(name)
+            grid = sorted(eps for key, eps in _PINNED_CALIBRATIONS if key == name)
+            for eps, cal in zip(grid, calibrate_pg_budgets(grid, data, **kwargs)):
+                a_min, nu, r_min, r_max, iterations = _PINNED_CALIBRATIONS[name, eps]
+                assert cal.a_min.tolist() == [a_min] * data.n_groups
+                assert cal.nu.tolist() == [nu] * data.n_groups
+                assert (cal.r.min(), cal.r.max(), cal.iterations) == (r_min, r_max,
+                                                                      iterations)
+
+    @pytest.mark.parametrize("rule", [TargetRule.DEFAULT_NATIONAL,
+                                      TargetRule.STATE_AVERAGE])
+    def test_county_scale_lanes(self, rule):
+        gen = np.random.Generator(np.random.PCG64(5))
+        pops = np.exp(gen.normal(10.0, 1.5, 3142))
+        counts = gen.multinomial(10_000, pops / pops.sum())
+        data = CountDataset.from_counts(counts, pops,
+                                        state_ids=[f"s{i % 50:02d}" for i in range(3142)])
+        epsilons = (4.0, 0.5, 1.0, 8.0, 0.5, 2.0)
+        batch = calibrate_pg_budgets(epsilons, data, rule=rule)
+        for eps, cal in zip(epsilons, batch):
+            assert _same_calibration(cal, calibrate_pg(eps, data, rule=rule)), eps
+
+    def test_one_infeasible_lane_raises(self, monkeypatch):
+        # past a strength threshold the penalty is forced past every budget,
+        # so the lane that starts above it (eps 0.5) can never be met, while
+        # the lanes whose roots lie below it solve as usual
+        import dpcounts.poisson_gamma as pg
+
+        penalties = pg._penalties
+
+        def forced(a_comp, y_total, z_total, r):
+            nu = penalties(a_comp, y_total, z_total, r)
+            return np.where(np.asarray(a_comp) > 1.0, 100.0, nu)
+        monkeypatch.setattr(pg, "_penalties", forced)
+        data = CountDataset.from_counts([3, 3], [1.0, 1.0])
+        assert len(calibrate_pg_budgets((8.0, 7.0), data)) == 2
+        # the doubled strength overflows before the solve gives up
+        with (pytest.raises(InfeasibleBudgetError),
+              np.errstate(over="ignore", invalid="ignore")):
+            calibrate_pg_budgets((8.0, 0.5, 7.0), data)
+
+    @pytest.mark.parametrize("epsilons,error", [
+        ((), UsageError),
+        ((1.0, 0.0), DomainError),
+        ((-1.0,), DomainError),
+        ((1.0, math.nan), DomainError),
+        ((math.inf,), DomainError),
+    ], ids=["empty", "zero", "negative", "nan", "infinite"])
+    def test_bad_budgets_refused(self, epsilons, error):
+        # an infinite budget puts the penalty-free root at strength 0, and
+        # doubling 0 never leaves it
+        data = _pair_dataset(5, [1.0, 4.0])
+        with pytest.raises(error):
+            calibrate_pg_budgets(epsilons, data)
 
 
 class TestSynthesize:

@@ -191,13 +191,13 @@ class TestRunStudy:
     def _fail_state_calibrations(monkeypatch):
         # state-target calibrations run per replicate, i.e. inside workers;
         # the national ones run in the parent and are left alone
-        calibrate_pg = simstudy.calibrate_pg
+        calibrate_pg_budgets = simstudy.calibrate_pg_budgets
 
-        def failing(epsilon, data, target_rates=None, rule=None):
+        def failing(epsilons, data, target_rates=None, rule=None):
             if rule is simstudy.TargetRule.CUSTOM:
                 raise InfeasibleBudgetError(f"raised in process {os.getpid()}")
-            return calibrate_pg(epsilon, data, target_rates=target_rates, rule=rule)
-        monkeypatch.setattr(simstudy, "calibrate_pg", failing)
+            return calibrate_pg_budgets(epsilons, data, target_rates=target_rates, rule=rule)
+        monkeypatch.setattr(simstudy, "calibrate_pg_budgets", failing)
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         self._fail_state_calibrations(monkeypatch)
