@@ -187,6 +187,8 @@ def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise DomainError("epsilon must be finite")
     y_total = int(y_total)
     if y_total < 1:
         raise DomainError("y_total must be at least 1")

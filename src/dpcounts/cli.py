@@ -10,7 +10,7 @@ file byte for byte.
 
 Exit codes: 0 success or all checks passed; 1 a verification failed (audit
 unsatisfied, identity mismatch, negative slack); 2 infeasible budget;
-3 I/O or parse error.
+3 I/O, parse or usage error.
 """
 
 from __future__ import annotations
@@ -233,8 +233,6 @@ def _pg_targets(config: RunConfig, data: CountDataset, rng: RngStream):
 
 
 def _cmd_calibrate(config: RunConfig) -> int:
-    if config.epsilon is None:
-        raise UsageError("calibrate requires --epsilon")
     if config.method == "md":
         if config.y_total is not None:
             z_total = config.y_total
@@ -276,10 +274,6 @@ def _cmd_calibrate(config: RunConfig) -> int:
 
 
 def _cmd_synthesize(config: RunConfig) -> int:
-    if config.input_path is None:
-        raise UsageError("synthesize requires --input")
-    if config.epsilon is None:
-        raise UsageError("synthesize requires --epsilon")
     if config.m_datasets < 1:
         raise UsageError("--m must be at least 1")
     data = ingest_counts(config.input_path)
@@ -320,8 +314,6 @@ def _cmd_synthesize(config: RunConfig) -> int:
 
 
 def _cmd_audit(config: RunConfig) -> int:
-    if config.epsilon is None or config.y_total is None:
-        raise UsageError("audit requires --epsilon and --y-total")
     if config.method == "md":
         if config.alpha is not None:
             alpha = _parse_vector(config.alpha, "alpha")
@@ -451,9 +443,27 @@ _COMMANDS = {
 }
 
 
+# Checked by run, so a config file or a programmatic RunConfig can supply
+# any of these.
+_REQUIRED = {
+    "calibrate": ("method", "epsilon", "output_path"),
+    "synthesize": ("method", "epsilon", "input_path", "output_path"),
+    "audit": ("method", "epsilon", "y_total", "output_path"),
+    "simulate": ("output_path",),
+    "lemma-check": ("output_path",),
+    "bound-sweep": ("output_path",),
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
+        for key in _REQUIRED[config.command]:
+            if getattr(config, key) is None:
+                flag = {"output_path": "--output", "input_path": "--input",
+                        "y_total": "--y-total"}.get(key, f"--{key}")
+                raise UsageError(f"{config.command} requires {flag} "
+                                 f"(flag or config file)")
         return _COMMANDS[config.command](config)
     except InfeasibleBudgetError as err:
         print(f"error: infeasible budget: {err}", file=sys.stderr)
@@ -580,16 +590,6 @@ _FIELD_CASTS = {
     "target_rates": str, "state_noise_epsilon": float,
 }
 
-# Validated after the merge so a config file can supply any of these.
-_REQUIRED = {
-    "calibrate": ("method", "epsilon", "output_path"),
-    "synthesize": ("method", "epsilon", "input_path", "output_path"),
-    "audit": ("method", "epsilon", "y_total", "output_path"),
-    "simulate": ("output_path",),
-    "lemma-check": ("output_path",),
-    "bound-sweep": ("output_path",),
-}
-
 
 def config_from_args(argv=None) -> RunConfig:
     parser = build_parser()
@@ -616,12 +616,6 @@ def config_from_args(argv=None) -> RunConfig:
             setattr(config, key, type(current)(text))
     for key, value in values.items():
         setattr(config, key, value)
-    for key in _REQUIRED[config.command]:
-        if getattr(config, key) is None:
-            flag = {"output_path": "--output", "input_path": "--input",
-                    "y_total": "--y-total"}.get(key, f"--{key}")
-            raise UsageError(f"{config.command} requires {flag} "
-                             f"(flag or config file)")
     return config
 
 

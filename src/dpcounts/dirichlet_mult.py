@@ -50,6 +50,8 @@ def calibrate_md(epsilon: float, z_total: int) -> MdCalibration:
     """Solve the budget equation: alpha_min = z_total / (e^eps - 1)."""
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise DomainError("epsilon must be finite")
     z_total = int(z_total)
     if z_total < 1:
         raise DomainError("z_total must be a positive integer")

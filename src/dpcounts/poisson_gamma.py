@@ -4,13 +4,15 @@ Counts are modeled as Poisson events with gamma-prior rates, then a synthetic
 allocation is drawn conditional on the fixed public total. Heterogeneous
 populations or smoothing targets make the mechanism leak more than the
 multinomial-Dirichlet baseline, which shows up as a penalty factor nu in
-(1, 2] multiplying the budget requirement:
+[1, e^eps) multiplying the budget requirement:
 
     a_i >= z_total / (e^eps / nu_i - 1)
 
 with nu_i driven by the structure ratio r comparing each group's prior mass
-per capita against its complement. Everything needed to calibrate, sample,
-and audit that statement lives here.
+per capita against its complement. nu is exactly 1 when every ratio is at
+least 1; otherwise it grows with z_total (1 - min r), and only e^eps bounds
+it. Everything needed to calibrate, sample, and audit that statement lives
+here.
 """
 
 from __future__ import annotations
@@ -200,14 +202,14 @@ def _group_states(data: CountDataset):
     return index, counts, pops, np.argsort(first)
 
 
-def state_target_rates(data: CountDataset, floor_scale: float = RATE_FLOOR_SCALE) -> np.ndarray:
+def state_target_rates(data: CountDataset) -> np.ndarray:
     """Crude event rate of each group's state, floored away from zero."""
     index, counts, pops, _ = _group_states(data)
-    return np.maximum(counts / pops, floor_scale / pops)[index]
+    return np.maximum(counts / pops, RATE_FLOOR_SCALE / pops)[index]
 
 
-def sanitize_state_rates(data: CountDataset, noise_epsilon: float, rng: RngStream,
-                         floor_scale: float = RATE_FLOOR_SCALE) -> np.ndarray:
+def sanitize_state_rates(data: CountDataset, noise_epsilon: float,
+                         rng: RngStream) -> np.ndarray:
     """State crude rates with additive noise on each state's event total.
 
     Noise is Laplace with scale 1/noise_epsilon, drawn independently per
@@ -220,7 +222,7 @@ def sanitize_state_rates(data: CountDataset, noise_epsilon: float, rng: RngStrea
     index, counts, pops, order = _group_states(data)
     noise = np.empty_like(counts)
     noise[order] = rng.generator.laplace(0.0, 1.0 / noise_epsilon, size=order.size)
-    return np.maximum((counts + noise) / pops, floor_scale / pops)[index]
+    return np.maximum((counts + noise) / pops, RATE_FLOOR_SCALE / pops)[index]
 
 
 def _resolve_targets(data: CountDataset, target_rates, rule: TargetRule) -> np.ndarray:
@@ -294,18 +296,13 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
     roots = [0.0] * len(solves)
     live = list(range(len(solves)))
     while live:
-        if len(live) == 1:  # the kernel's vector form, with fewer broadcasts
-            a = pending[live[0]]
-            strengths = np.full(n.size, a)
-            a_comp = strengths.sum() - a
-        else:
-            a = np.array([pending[k] for k in live])
-            strengths = np.empty((a.size, n.size))
-            strengths[:] = a[:, None]
-            a_comp = strengths.sum(axis=1) - a
+        a = np.array([pending[k] for k in live])
+        strengths = np.empty((a.size, n.size))
+        strengths[:] = a[:, None]
+        a_comp = strengths.sum(axis=1) - a
         certified = _certified_epsilon(n, n_c, a, a_comp, strengths / lam0, total, total)
         still_live = []
-        for k, value in zip(live, np.atleast_1d(certified).tolist()):
+        for k, value in zip(live, certified.tolist()):
             evaluations[k] += 1
             try:
                 pending[k] = solves[k].send(value - epsilons[k])

@@ -8,11 +8,14 @@ draw is scored against the truth by rMSE per 100,000, and urban/rural and
 two-state contrasts are tracked. Replicates own derived random streams, so
 results are bit-identical for any worker count.
 
-The baseline and national-target priors for each budget, and the urban,
-rural and two-region score groups with their population weights, are built
-once per scenario. Each replicate calibrates its state-target priors for all
-budgets in one lockstep solve, stacks its rate estimates into one row per
-(budget, method), and scores them with row reductions.
+The baseline and national-target priors for each budget, the true state
+rates, and the urban, rural and two-region score groups with their
+population weights, are built once per scenario. Each replicate calibrates
+its state-target priors for all budgets in one lockstep solve and scores its
+rate estimates, one row per (budget, method), into one (4, 3 * n_budgets)
+array: rows rMSE, urban rate, rural rate and region contrast, columns
+(budget, method) with the method varying fastest. Each reported value is a
+1-d mean or percentile over one contiguous replicate series.
 
 With ``n_workers > 1`` the replicates run in a pool of forked worker
 processes (POSIX only). The study runs serially instead where ``fork`` is
@@ -41,8 +44,9 @@ from .dirichlet_mult import calibrate_md
 from .errors import DomainError, UsageError
 # calibrate_pg is not called here, but stays bound: perfbench's tracer wraps
 # it at every module that binds it, and its tests check this module
-from .poisson_gamma import (RATE_FLOOR_SCALE, TargetRule, calibrate_pg,  # noqa: F401
-                            calibrate_pg_budgets, state_target_rates)
+from .poisson_gamma import (RATE_FLOOR_SCALE, TargetRule, _group_states,
+                            calibrate_pg, calibrate_pg_budgets,  # noqa: F401
+                            state_target_rates)
 
 RMSE_SCALE = 100_000.0  # rates are reported per 100,000 population
 
@@ -137,14 +141,15 @@ def _weighted_mean(values, group):
     return (weights * values.take(idx, axis=-1)).sum(axis=-1) / weight_sum
 
 
-def _contrast_regions(state_index, populations, n_states: int):
-    """Group indices of the smallest- and largest-population states; when all
-    states tie, the next state stands in for the largest."""
-    state_pops = np.bincount(state_index, weights=populations, minlength=n_states)
+def _contrast_regions(state_index, populations):
+    """Group indices of the smallest- and largest-population states, every
+    state holding a group; when all states tie, the next state stands in for
+    the largest."""
+    state_pops = np.bincount(state_index, weights=populations)
     a_state = int(np.argmin(state_pops))
     b_state = int(np.argmax(state_pops))
     if a_state == b_state:  # degenerate uniform populations
-        b_state = (a_state + 1) % n_states
+        b_state = (a_state + 1) % state_pops.size
     return np.flatnonzero(state_index == a_state), np.flatnonzero(state_index == b_state)
 
 
@@ -162,9 +167,7 @@ def gen_truth(scenario: Scenario) -> GroundTruth:
     size = scenario.n_groups
     # contiguous blocks of groups per state
     bounds = np.linspace(0, size, scenario.n_states + 1).astype(int)
-    state_index = np.zeros(size, dtype=np.int64)
-    for s in range(scenario.n_states):
-        state_index[bounds[s]:bounds[s + 1]] = s
+    state_index = np.repeat(np.arange(scenario.n_states), np.diff(bounds))
     state_ids = tuple(f"s{state_index[i]:03d}" for i in range(size))
 
     if scenario.pop_mode is PopMode.HETEROGENEOUS:
@@ -185,7 +188,7 @@ def gen_truth(scenario: Scenario) -> GroundTruth:
     else:
         rates = np.full(size, base_rate)
 
-    region_a, region_b = _contrast_regions(state_index, populations, scenario.n_states)
+    region_a, region_b = _contrast_regions(state_index, populations)
     return GroundTruth(populations=populations, rates=rates, state_ids=state_ids,
                        urban=urban, region_a=region_a, region_b=region_b)
 
@@ -202,13 +205,15 @@ def gen_replicate(populations, rates, y_total: int, rng: RngStream,
     return CountDataset.from_counts(counts, populations, state_ids=state_ids)
 
 
-def rmse(estimate, truth) -> float:
-    """Root mean squared rate error, scaled to events per 100,000."""
+def rmse(estimate, truth):
+    """Root mean squared rate error, scaled to events per 100,000: a float
+    for one estimate vector, one value per row for a matrix of them."""
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if estimate.shape != truth.shape:
+    if estimate.ndim not in (1, 2) or estimate.shape[-1:] != truth.shape:
         raise UsageError("estimate and truth must have equal length")
-    return RMSE_SCALE * float(np.sqrt(np.mean((estimate - truth) ** 2)))
+    errors = RMSE_SCALE * np.sqrt(np.mean((estimate - truth) ** 2, axis=-1))
+    return float(errors) if estimate.ndim == 1 else errors
 
 
 def rate_estimates(method: SynthMethod, data: CountDataset, prior: PriorSpec,
@@ -280,8 +285,8 @@ def truth_from_dataset(data: CountDataset) -> GroundTruth:
     urban = data.populations > np.quantile(data.populations, 0.8)
     if urban.all() or not urban.any():
         urban = np.arange(data.n_groups) < max(data.n_groups // 5, 1)
-    states, state_index = np.unique(np.array(data.state_ids), return_inverse=True)
-    region_a, region_b = _contrast_regions(state_index, data.populations, states.size)
+    state_index = _group_states(data)[0]
+    region_a, region_b = _contrast_regions(state_index, data.populations)
     return GroundTruth(populations=data.populations.copy(), rates=rates,
                        state_ids=data.state_ids, urban=urban,
                        region_a=region_a, region_b=region_b)
@@ -300,45 +305,36 @@ def _scenario_objects(config: StudyConfig) -> list[Scenario]:
     ]
 
 
-def _true_state_rates(truth: GroundTruth) -> np.ndarray:
-    ids = np.array(truth.state_ids)
-    rates = np.empty(len(ids))
-    for state in np.unique(ids):
-        mask = ids == state
-        rates[mask] = _weighted_mean(truth.rates, _score_group(truth.populations, mask))
-    return rates
+def _true_state_rates(truth: GroundTruth, state_index: np.ndarray) -> np.ndarray:
+    state_rates = [_weighted_mean(truth.rates, _score_group(truth.populations, state_index == s))
+                   for s in range(state_index.max() + 1)]
+    return np.array(state_rates)[state_index]
 
 
 def _replicate_metrics(config: StudyConfig, cases: list,
-                       task: tuple[int, int]) -> dict:
+                       task: tuple[int, int]) -> np.ndarray:
     scenario_idx, rep = task
-    _, truth, y_total, priors, groups = cases[scenario_idx]
+    _, truth, y_total, priors, groups, true_state_rates = cases[scenario_idx]
     master = RngStream(config.seed)
     data = gen_replicate(truth.populations, truth.rates, y_total,
                          master.child(scenario_idx, rep, 0),
                          state_ids=truth.state_ids)
-    state_targets = (_true_state_rates(truth) if config.state_targets_from_truth
+    state_targets = (true_state_rates if config.state_targets_from_truth
                      else state_target_rates(data))
     state_cals = calibrate_pg_budgets(config.epsilons, data, target_rates=state_targets,
                                       rule=TargetRule.CUSTOM)
-    keys, estimates = [], []
+    estimates = []
     for e_idx, state_cal in enumerate(state_cals):
         for m_idx, method in enumerate(_METHODS):
             prior = (state_cal.prior() if method is SynthMethod.PG_STATE
                      else priors[method, e_idx])
             rng = master.child(scenario_idx, rep, 1 + m_idx, e_idx)
-            keys.append((method, e_idx))
             estimates.append(rate_estimates(method, data, prior, rng))
     # one row per (epsilon, method), scored by row reductions
     estimates = np.array(estimates)
-    rmses = RMSE_SCALE * np.sqrt(np.mean((estimates - truth.rates) ** 2, axis=1))
     urban, rural, region_a, region_b = (_weighted_mean(estimates, group)
                                         for group in groups)
-    return {key: {"rmse": m_rmse, "urban": m_urban, "rural": m_rural,
-                  "contrast": m_contrast}
-            for key, m_rmse, m_urban, m_rural, m_contrast in zip(
-                keys, rmses.tolist(), urban.tolist(), rural.tolist(),
-                (region_a / region_b).tolist())}
+    return np.array([rmse(estimates, truth.rates), urban, rural, region_a / region_b])
 
 
 # (config, cases) inside a forked worker; set by _install_study, never in
@@ -363,7 +359,7 @@ def _install_study(parent_pid: int, config: StudyConfig, cases: list) -> None:
             os._exit(1)
 
 
-def _replicate_task(task: tuple[int, int]) -> dict:
+def _replicate_task(task: tuple[int, int]) -> np.ndarray:
     return _replicate_metrics(*_WORKER_STUDY, task)
 
 
@@ -374,7 +370,7 @@ def _usable_cpus() -> int:
 
 
 def _map_replicates(config: StudyConfig, cases: list,
-                    tasks: list[tuple[int, int]]) -> list[dict]:
+                    tasks: list[tuple[int, int]]) -> list[np.ndarray]:
     """Per-replicate metrics for ``tasks``, in task order. More than one
     worker means forked processes, never more than there are tasks or
     usable CPUs, and only from a single-threaded process."""
@@ -413,7 +409,8 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
                   for scenario in _scenario_objects(config)]
 
     # per scenario: (label, truth, y_total, the MD and PG-national priors by
-    # (method, epsilon index), the urban, rural, region A and B score groups)
+    # (method, epsilon index), the urban, rural, region A and B score groups,
+    # the true state rates)
     cases = []
     for scenario_idx, (label, truth, y_total) in enumerate(truths):
         pops = truth.populations
@@ -432,29 +429,31 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         # the regions come from two distinct states, so they are disjoint
         groups = tuple(_score_group(pops, idx) for idx in
                        (truth.urban, ~truth.urban, truth.region_a, truth.region_b))
-        cases.append((label, truth, y_total, priors, groups))
+        true_state_rates = _true_state_rates(truth, _group_states(ref_data)[0])
+        cases.append((label, truth, y_total, priors, groups, true_state_rates))
 
     n_reps = config.n_replicates
     tasks = [(s, rep) for s in range(len(cases)) for rep in range(n_reps)]
     per_task = _map_replicates(config, cases, tasks)
 
+    columns = [(eps, method) for eps in config.epsilons for method in _METHODS]
     results = []
     for scenario_idx, (label, *_) in enumerate(cases):
-        per_rep = per_task[scenario_idx * n_reps:(scenario_idx + 1) * n_reps]
-        for e_idx, epsilon in enumerate(config.epsilons):
-            for method in _METHODS:
-                series = [rep_out[(method, e_idx)] for rep_out in per_rep]
-                rmses = np.array([s["rmse"] for s in series])
-                lo, hi = np.percentile(rmses, [2.5, 97.5])
-                results.append(StudyResult(
-                    scenario=label,
-                    method=method,
-                    epsilon=float(epsilon),
-                    rmse_mean=float(rmses.mean()),
-                    rmse_lo=float(lo),
-                    rmse_hi=float(hi),
-                    urban_rate=float(np.mean([s["urban"] for s in series])),
-                    rural_rate=float(np.mean([s["rural"] for s in series])),
-                    region_contrast=float(np.mean([s["contrast"] for s in series])),
-                ))
+        # (metric, column, replicate): every series is one contiguous row
+        series = np.stack(per_task[scenario_idx * n_reps:(scenario_idx + 1) * n_reps],
+                          axis=-1)
+        means = series.mean(axis=-1)
+        lo, hi = np.percentile(series[0], [2.5, 97.5], axis=-1)
+        for col, (epsilon, method) in enumerate(columns):
+            results.append(StudyResult(
+                scenario=label,
+                method=method,
+                epsilon=float(epsilon),
+                rmse_mean=float(means[0, col]),
+                rmse_lo=float(lo[col]),
+                rmse_hi=float(hi[col]),
+                urban_rate=float(means[1, col]),
+                rural_rate=float(means[2, col]),
+                region_contrast=float(means[3, col]),
+            ))
     return results

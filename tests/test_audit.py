@@ -85,6 +85,14 @@ class TestAuditMd:
         with pytest.raises(UsageError):
             audit_synthesizer("laplace", 1.0, 2, alpha=[1.0, 1.0])
 
+    @pytest.mark.parametrize("mechanism, params", [
+        ("md", dict(alpha=[1.0, 1.0])),
+        ("pg2", dict(a=[2.0, 2.0], b=[2.0, 2.0], populations=[1.0, 1.0])),
+    ])
+    def test_infinite_budget_refused(self, mechanism, params):
+        with pytest.raises(DomainError, match="finite"):
+            audit_synthesizer(mechanism, math.inf, 2, **params)
+
 
 class TestAuditPg:
     def test_uniform_structure_matches_md_report(self):

@@ -336,6 +336,24 @@ class TestErrorsAndConfig:
                         "--output", str(tmp_path / "o.csv")])
         assert code == 3  # exact pair synthesis needs exactly two groups
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--method", "md", "--epsilon", "inf", "--z-total", "10"],
+        ["audit", "--method", "md", "--epsilon", "inf", "--y-total", "2", "--alpha", "1"],
+    ], ids=["calibrate", "audit"])
+    def test_infinite_budget_exits_three_and_writes_nothing(self, tmp_path, argv, capsys):
+        out = tmp_path / "o.json"
+        assert run_cli(argv + ["--output", str(out)]) == 3
+        assert "epsilon must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(command="lemma-check"),
+        RunConfig(command="calibrate", method="md", epsilon=1.0, y_total=5),
+    ], ids=["lemma-check", "calibrate"])
+    def test_run_checks_required_fields(self, config, capsys):
+        assert run(config) == 3
+        assert "requires --output" in capsys.readouterr().err
+
     def test_bad_flag_exits_three(self, capsys):
         with pytest.raises(SystemExit) as err:
             config_from_args(["audit", "--method", "nope"])

@@ -64,6 +64,11 @@ class TestCalibrateMd:
         with pytest.raises(DomainError):
             calibrate_md(1.0, 0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])
+    def test_non_finite_budget_refused(self, epsilon):
+        with pytest.raises(DomainError):
+            calibrate_md(epsilon, 10)
+
     def test_inconsistent_record_rejected(self):
         with pytest.raises(DomainError):
             MdCalibration(epsilon=1.0, z_total=10, alpha_min=1.0)

@@ -110,6 +110,14 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
             rmse([1.0], [1.0, 2.0])
+        with pytest.raises(UsageError):
+            rmse([[1.0]], [1.0, 2.0])
+
+    def test_matrix_scores_each_row_as_its_vector(self):
+        truth = np.array([1e-4, 2e-4, 3e-4])
+        estimates = truth + np.array([[0.0, 1e-5, 2e-5], [3e-5, -1e-5, 7e-6]])
+        assert type(rmse(estimates[0], truth)) is float
+        assert rmse(estimates, truth).tolist() == [rmse(row, truth) for row in estimates]
 
 
 class TestRateEstimates:
@@ -327,8 +335,10 @@ class TestRunStudy:
                 data = gen_replicate(pops, truth.rates, config.y_total,
                                      master.child(s_idx, rep, 0), state_ids=truth.state_ids)
                 targets = true_state if from_truth else state_target_rates(data)
+                assert got.shape == (4, 3 * len(config.epsilons))
                 for e_idx, eps in enumerate(config.epsilons):
                     for m_idx, method in enumerate(simstudy._METHODS):
+                        col = 3 * e_idx + m_idx
                         if method is SynthMethod.MD:
                             alpha = calibrate_md(eps, config.y_total).alpha_min
                             prior = PriorSpec.multinomial_dirichlet(np.full(pops.size, alpha))
@@ -339,13 +349,37 @@ class TestRunStudy:
                                                  rule=TargetRule.CUSTOM).prior()
                         est = rate_estimates(method, data, prior,
                                              master.child(s_idx, rep, 1 + m_idx, e_idx))
-                        assert got[method, e_idx] == {
-                            "rmse": rmse(est, truth.rates),
-                            "urban": weighted_mean(est, pops, truth.urban),
-                            "rural": weighted_mean(est, pops, ~truth.urban),
-                            "contrast": region_contrast(est, truth.region_a,
-                                                        truth.region_b, pops),
-                        }
+                        assert got[:, col].tolist() == [
+                            rmse(est, truth.rates),
+                            weighted_mean(est, pops, truth.urban),
+                            weighted_mean(est, pops, ~truth.urban),
+                            region_contrast(est, truth.region_a, truth.region_b, pops),
+                        ]
+
+    def test_results_are_one_dimensional_reductions_of_each_series(self, monkeypatch):
+        # reference: every field is a 1-d mean or percentile over that
+        # series' per-replicate values, in replicate order
+        config = self._config(n_replicates=13)
+        out = []
+
+        def serial(config, cases, tasks):
+            out.extend(simstudy._replicate_metrics(config, cases, task) for task in tasks)
+            return list(out)
+        monkeypatch.setattr(simstudy, "_map_replicates", serial)
+        results = run_study(config)
+        n_reps, n_cols = config.n_replicates, 3 * len(config.epsilons)
+        assert len(results) == 2 * n_cols
+        for k, row in enumerate(results):
+            s_idx, col = divmod(k, n_cols)
+            per_rep = out[s_idx * n_reps:(s_idx + 1) * n_reps]
+            rmses, urban, rural, contrast = (
+                np.array([rep_out[metric, col] for rep_out in per_rep]) for metric in range(4))
+            lo, hi = np.percentile(rmses, [2.5, 97.5])
+            assert (row.method, row.epsilon) == (simstudy._METHODS[col % 3],
+                                                 config.epsilons[col // 3])
+            assert [row.rmse_mean, row.rmse_lo, row.rmse_hi, row.urban_rate,
+                    row.rural_rate, row.region_contrast] == [
+                np.mean(rmses), lo, hi, np.mean(urban), np.mean(rural), np.mean(contrast)]
 
 
 def _children(pid: int) -> list[int]:
