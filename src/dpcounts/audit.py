@@ -3,14 +3,16 @@
 Small two-group instances are small enough to check the privacy definition
 itself: enumerate every dataset with the public total, every neighbor, and
 every synthetic allocation, and compare the worst absolute log ratio against
-the target budget. Each ratio is computed two independent ways (pmf
-difference and the cancelled closed form) and, for integer prior strengths,
-a third time in exact rational arithmetic.
+the target budget. Each route fills one table of ln p(z|y) - ln p(z|x), a row
+per ordered neighbor pair and a column per allocation, with its own module's
+batch kernel, and one engine reads the worst entry off it. The float routes
+compute every ratio two independent ways (pmf difference and the cancelled
+closed form); for integer prior strengths the exact route forms each ratio
+as a reduced integer fraction of exact normalizers and logs it at the end.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,25 +66,21 @@ def enumerate_neighbors(y_total: int) -> list[tuple[tuple[int, int], tuple[int, 
     return pairs
 
 
-def _audit(epsilon: float, y_total: int, log_ratios) -> AuditReport:
-    """The enumeration every route shares: walk each ordered neighbor pair
-    once, take the row ``log_ratios(y, x)`` of ln p(z|y) - ln p(z|x) over
-    z1 = 0..y_total, and keep the first largest |value| in (pair, z1) order."""
-    best = None
-    checked = 0
-    for y, x in enumerate_neighbors(y_total):
-        row = np.abs(log_ratios(y, x))
-        z1 = int(np.argmax(row))
-        if best is None or row[z1] > best[0]:
-            best = (float(row[z1]), Witness(y=y, x=x, z=(z1, y_total - z1)))
-        checked += row.size
-    max_ratio, witness = best
+def _audit(epsilon: float, y_total: int, table: np.ndarray) -> AuditReport:
+    """The check every route shares: ``table`` holds ln p(z|y) - ln p(z|x)
+    with one row per ordered neighbor pair, in `enumerate_neighbors` order,
+    and one column per z1 = 0..y_total. The witness is the first largest
+    |value| in (pair, z1) order."""
+    table = np.abs(table)
+    pair, z1 = divmod(int(np.argmax(table)), table.shape[1])
+    y, x = enumerate_neighbors(y_total)[pair]
+    max_ratio = float(table[pair, z1])
     return AuditReport(
         epsilon_target=float(epsilon),
         max_abs_log_ratio=max_ratio,
-        witness=witness,
+        witness=Witness(y=y, x=x, z=(z1, y_total - z1)),
         satisfied=max_ratio <= epsilon + AUDIT_SLACK,
-        instances_checked=checked,
+        instances_checked=table.size,
     )
 
 
@@ -92,33 +90,31 @@ def _cross_check(value, other) -> None:
 
 
 def _allocations(z_total: int) -> np.ndarray:
-    """Every two-group allocation (z1, z_total - z1), z1 = 0..z_total."""
+    """Every two-group allocation (z1, z_total - z1), z1 = 0..z_total; with
+    the total fixed, also every dataset, in the order of its first count."""
     z1 = np.arange(z_total + 1)
     return np.stack([z1, z_total - z1], axis=1)
 
 
-def _moved(y, x) -> tuple[int, int]:
-    """(decremented, incremented) group of a two-group neighbor pair."""
-    return (0, 1) if x[0] == y[0] - 1 else (1, 0)
+def _pairs(y_total: int) -> np.ndarray:
+    """`enumerate_neighbors` as two (P, 2) stacks, y and x."""
+    return np.array(enumerate_neighbors(y_total)).transpose(1, 0, 2)
 
 
-def _md_route(alpha, y_total: int):
+def _md_table(alpha, y_total: int) -> np.ndarray:
     """Cancelled-form md ratios, checked against pmf differences."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (2,):
         raise UsageError("exhaustive audit runs on two groups")
     z = _allocations(y_total)
-    log_pmf = functools.cache(lambda y: md_log_pmf(z, y, alpha))
-
-    def log_ratios(y, x):
-        direct = md_log_ratio(z, y, x, alpha)
-        _cross_check(direct, log_pmf(y) - log_pmf(x))
-        return direct
-
-    return log_ratios
+    y, x = _pairs(y_total)
+    table = md_log_ratio(z, y, x, alpha).T
+    log_pmf = np.array([md_log_pmf(z, data, alpha) for data in z])
+    _cross_check(table, log_pmf[y[:, 0]] - log_pmf[x[:, 0]])
+    return table
 
 
-def _pg2_route(a, b, n, y_total: int):
+def _pg2_table(a, b, n, y_total: int) -> np.ndarray:
     """Differences of the conditional log pmf tables, checked against the
     cancelled form through the normalizers."""
     a = np.asarray(a, dtype=np.float64)
@@ -128,30 +124,25 @@ def _pg2_route(a, b, n, y_total: int):
         raise UsageError("exhaustive audit runs on two groups")
     if np.any(a <= 0):
         raise DomainError("a must be positive")
-    z = _allocations(y_total).T
-    log_r1 = math.log(structure_ratio(0, n, b))
-
-    @functools.cache
-    def tables(y):
-        """(conditional log pmf over z1, log normalizer) of dataset y."""
-        return _normalized_pair_terms(np.array(y, dtype=np.float64), a,
-                                      log_r1, y_total)
-
-    def log_ratios(y, x):
-        (pmf_y, log_c_y), (pmf_x, log_c_x) = tables(y), tables(x)
-        dec, inc = _moved(y, x)
-        via_pmf = pmf_y - pmf_x
-        cancelled = (log_c_x - log_c_y
-                     + np.log(z[dec] + y[dec] + a[dec] - 1)
-                     - np.log(z[inc] + y[inc] + a[inc]))
-        _cross_check(via_pmf, cancelled)
-        return via_pmf
-
-    return log_ratios
+    z = _allocations(y_total)
+    log_pmf, log_c = _normalized_pair_terms(z.astype(np.float64), a,
+                                            math.log(structure_ratio(0, n, b)),
+                                            y_total)
+    y, x = _pairs(y_total)
+    table = log_pmf[y[:, 0]] - log_pmf[x[:, 0]]
+    # each pair's (decremented, incremented) group, as a column
+    dec = (x[:, :1] > y[:, :1]).astype(np.intp)
+    inc = 1 - dec
+    cancelled = (log_c[x[:, :1]] - log_c[y[:, :1]]
+                 + np.log(z.T[dec[:, 0]] + np.take_along_axis(y, dec, 1) + a[dec] - 1)
+                 - np.log(z.T[inc[:, 0]] + np.take_along_axis(y, inc, 1) + a[inc]))
+    _cross_check(table, cancelled)
+    return table
 
 
-def _pg2_exact_route(a_int, b, n, y_total: int):
-    """Exact rational ratios, logged only at the end."""
+def _pg2_exact_table(a_int, b, n, y_total: int) -> np.ndarray:
+    """Exact rational ratios, each reduced in integers and logged only at
+    the end."""
     a_int = [int(v) for v in np.asarray(a_int)]
     b_frac = [Fraction(float(v)) for v in np.asarray(b, dtype=np.float64)]
     n_frac = [Fraction(float(v)) for v in np.asarray(n, dtype=np.float64)]
@@ -161,19 +152,24 @@ def _pg2_exact_route(a_int, b, n, y_total: int):
         raise DomainError("exact audit requires integer a >= 1")
     r1 = (b_frac[1] / n_frac[1] + 2) / (b_frac[0] / n_frac[0] + 2)
     allocations = _allocations(y_total).tolist()
-    normalizer = functools.cache(
-        lambda y: exact_math.exact_normalizer(y, a_int, r1, y_total))
-
-    def log_ratios(y, x):
-        c_ratio = normalizer(x) / normalizer(y)
-        dec, inc = _moved(y, x)
-        ratios = (c_ratio * Fraction(z[dec] + y[dec] + a_int[dec] - 1,
-                                     z[inc] + y[inc] + a_int[inc])
-                  for z in allocations)
-        return np.array([math.log(r.numerator) - math.log(r.denominator)
-                         for r in ratios])
-
-    return log_ratios
+    normalizer = [exact_math.exact_normalizer(data, a_int, r1, y_total)
+                  for data in allocations]
+    table = []
+    for y, x in enumerate_neighbors(y_total):
+        dec = int(x[0] > y[0])
+        inc = 1 - dec
+        # C(x) / C(y) times (z_dec + y_dec + a_dec - 1) / (z_inc + y_inc + a_inc)
+        c_x, c_y = normalizer[x[0]], normalizer[y[0]]
+        num = c_x.numerator * c_y.denominator
+        den = c_x.denominator * c_y.numerator
+        row = []
+        for z in allocations:
+            top = num * (z[dec] + y[dec] + a_int[dec] - 1)
+            bottom = den * (z[inc] + y[inc] + a_int[inc])
+            gcd = math.gcd(top, bottom)
+            row.append(math.log(top // gcd) - math.log(bottom // gcd))
+        table.append(row)
+    return np.array(table)
 
 
 def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
@@ -197,14 +193,14 @@ def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
     if mechanism == "md":
         if alpha is None:
             raise UsageError("md audit requires alpha")
-        route = _md_route(alpha, y_total)
+        table = _md_table(alpha, y_total)
     elif mechanism == "pg2":
         if a is None or b is None or populations is None:
             raise UsageError("pg2 audit requires a, b, populations")
-        route = (_pg2_exact_route if exact else _pg2_route)(a, b, populations, y_total)
+        table = (_pg2_exact_table if exact else _pg2_table)(a, b, populations, y_total)
     else:
         raise UsageError(f"unknown mechanism {mechanism!r}")
-    return _audit(epsilon, y_total, route)
+    return _audit(epsilon, y_total, table)
 
 
 @dataclass(frozen=True)

@@ -71,15 +71,15 @@ def _checked_triple(z, y, alpha):
     z = np.asarray(z, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    if (y.shape != alpha.shape or y.ndim != 1 or z.ndim not in (1, 2)
-            or z.shape[-1] != y.size):
-        raise UsageError("y, alpha must be 1-d vectors of equal length and z "
-                         "one such vector or a (k, I) batch of them")
+    if (alpha.ndim != 1 or y.shape[-1:] != alpha.shape or y.ndim > 2
+            or z.ndim not in (1, 2) or z.shape[-1:] != alpha.shape):
+        raise UsageError("alpha must be a 1-d vector, and y and z each one "
+                         "vector of its length or a stack of them")
     if np.any(z < 0) or np.any(y < 0):
         raise DomainError("counts must be non-negative")
     if np.any(alpha <= 0):
         raise DomainError("alpha must be positive")
-    if np.any(z.sum(axis=-1) != y.sum()):
+    if np.any(z.sum(axis=-1)[..., None] != y.sum(axis=-1)):
         raise UsageError("z must have the same total as y")
     return z, y, alpha
 
@@ -89,6 +89,8 @@ def md_log_pmf(z, y, alpha) -> float | np.ndarray:
     after integrating the multinomial weights against their Dirichlet
     posterior given ``y``. A (k, I) batch of allocations gives k values."""
     z, y, alpha = _checked_triple(z, y, alpha)
+    if y.ndim != 1:
+        raise UsageError("y must be one dataset")
     z_total = int(y.sum())
     ya = y + alpha
     out = (
@@ -102,21 +104,20 @@ def md_log_pmf(z, y, alpha) -> float | np.ndarray:
     return float(out) if z.ndim == 1 else out
 
 
-def neighbor_indices(y, x) -> tuple[int, int]:
+def neighbor_indices(y, x) -> tuple:
     """Indices (decremented, incremented) for a valid neighbor pair, i.e.
-    ``x`` equals ``y`` with one event moved between two groups."""
+    ``x`` equals ``y`` with one event moved between two groups; (P, I)
+    stacks of pairs give two arrays of P indices."""
     y = np.asarray(y, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
-    if y.shape != x.shape or y.ndim != 1:
-        raise UsageError("x and y must be 1-d vectors of equal length")
+    if y.shape != x.shape or y.ndim not in (1, 2):
+        raise UsageError("x and y must be 1-d vectors or (P, I) stacks of equal shape")
     if np.any(x < 0) or np.any(y < 0):
         raise UsageError("neighbor vectors must be non-negative")
     diff = x - y
-    if x.sum() != y.sum() or np.abs(diff).sum() != 2:
+    if np.any(diff.sum(axis=-1) != 0) or np.any(np.abs(diff).sum(axis=-1) != 2):
         raise UsageError("x must differ from y by moving exactly one event")
-    dec = int(np.where(diff == -1)[0][0])
-    inc = int(np.where(diff == 1)[0][0])
-    return dec, inc
+    return diff.argmin(axis=-1), diff.argmax(axis=-1)
 
 
 # libm's log elementwise: numpy's vectorised log can round differently in the
@@ -126,7 +127,8 @@ _libm_log = np.frompyfunc(math.log, 1, 1)
 
 def md_log_ratio(z, y, x, alpha) -> float | np.ndarray:
     """Exact log ratio ln p(z|y) - ln p(z|x) for neighboring y, x; a (k, I)
-    batch of allocations gives k ratios.
+    batch of allocations gives k ratios, and (P, I) stacks of pairs y, x
+    give one column of them per pair.
 
     All gamma functions cancel down to four logarithms, which keeps the
     value exact to float rounding even when the pmfs themselves underflow.
@@ -137,12 +139,13 @@ def md_log_ratio(z, y, x, alpha) -> float | np.ndarray:
     # Arguments are built from the elementwise minimum of the pair and the
     # two partial sums are grouped, so swapping the roles of y and x
     # reproduces the identical four floats and negates the result bit-exactly.
-    base_dec = alpha[dec] + min(y[dec], x[dec])
-    base_inc = alpha[inc] + min(y[inc], x[inc])
-    positive = math.log(base_inc) + _libm_log(z[..., dec] + base_dec)
-    negative = math.log(base_dec) + _libm_log(z[..., inc] + base_inc)
+    base = alpha + np.minimum(y, x)
+    base_dec = np.take_along_axis(base, dec[..., None], -1)[..., 0]
+    base_inc = np.take_along_axis(base, inc[..., None], -1)[..., 0]
+    positive = _libm_log(base_inc) + _libm_log(np.take(z, dec, -1) + base_dec)
+    negative = _libm_log(base_dec) + _libm_log(np.take(z, inc, -1) + base_inc)
     out = positive - negative
-    return float(out) if z.ndim == 1 else out.astype(np.float64)
+    return float(out) if z.ndim == y.ndim == 1 else out.astype(np.float64)
 
 
 def md_synthesize(data: CountDataset, prior: PriorSpec, rng: RngStream) -> SyntheticDataset:

@@ -16,9 +16,10 @@ integers, and differentiation multiplies by integers. So `BivariatePoly`
 stores integral coefficients as Python ints, keeping a Fraction only for a
 non-integral one, and both sides of the identity are evaluated the same way:
 summed in integers over one common denominator, with a single Fraction built
-at the end. This module verifies the identity and evaluates normalizers in
-arbitrary-precision rationals, with no floating point anywhere, so it can
-anchor every float-path audit in the package.
+at the end. Only polynomials built from outside input are validated, not the
+ones this module's own arithmetic makes. This module verifies the identity and
+evaluates normalizers in arbitrary-precision rationals, with no floating
+point anywhere, so it can anchor every float-path audit in the package.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ class BivariatePoly:
         self.coeffs = cleaned
 
     @classmethod
+    def _of(cls, coeffs: dict[Key, Coeff]) -> "BivariatePoly":
+        """A polynomial from coefficients this module's arithmetic made: zeros
+        are dropped and an integral Fraction becomes an int, nothing else."""
+        poly = cls.__new__(cls)
+        poly.coeffs = {key: coeff if type(coeff) is int else _exact(coeff)
+                       for key, coeff in coeffs.items() if coeff}
+        return poly
+
+    @classmethod
     def monomial(cls, dp: int, dq: int, coeff=1) -> "BivariatePoly":
         return cls({(dp, dq): coeff})
 
@@ -78,13 +88,13 @@ class BivariatePoly:
         out = dict(self.coeffs)
         for key, coeff in other.coeffs.items():
             out[key] = out.get(key, 0) + coeff
-        return BivariatePoly(out)
+        return BivariatePoly._of(out)
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
         out = dict(self.coeffs)
         for key, coeff in other.coeffs.items():
             out[key] = out.get(key, 0) - coeff
-        return BivariatePoly(out)
+        return BivariatePoly._of(out)
 
     def __mul__(self, other) -> "BivariatePoly":
         if isinstance(other, BivariatePoly):
@@ -93,9 +103,9 @@ class BivariatePoly:
                 for (p2, q2), c2 in other.coeffs.items():
                     key = (p1 + p2, q1 + q2)
                     out[key] = out.get(key, 0) + c1 * c2
-            return BivariatePoly(out)
+            return BivariatePoly._of(out)
         scalar = _exact(other)
-        return BivariatePoly({key: coeff * scalar for key, coeff in self.coeffs.items()})
+        return BivariatePoly._of({key: coeff * scalar for key, coeff in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -120,28 +130,30 @@ class BivariatePoly:
                 out[(dp - times, dq)] = coeff * math.perm(dp, times)
             elif var == "q" and dq >= times:
                 out[(dp, dq - times)] = coeff * math.perm(dq, times)
-        return BivariatePoly(out)
+        return BivariatePoly._of(out)
 
     def evaluate(self, p, q) -> Fraction:
         """Exact value at rationals p, q, as one Fraction, summed in integers
         over the common denominator L * p_den^max_dp * q_den^max_dq, where L
-        is the least common multiple of the coefficient denominators (1 for
-        integer coefficients)."""
+        is the least common multiple of the coefficient denominators, taken
+        only when some coefficient is a Fraction."""
         p = Fraction(p)
         q = Fraction(q)
         if self.is_zero():
             return Fraction(0)
         max_dp = max(dp for dp, _ in self.coeffs)
         max_dq = max(dq for _, dq in self.coeffs)
+        p_num, p_den, q_num, q_den = p.numerator, p.denominator, q.numerator, q.denominator
         # a list, not a generator: on CPython 3.11, math.lcm(*generator)
         # kept about 80 bytes per call alive (traced memory grew per call)
-        scale = math.lcm(*[coeff.denominator for coeff in self.coeffs.values()])
+        denominators = [coeff.denominator for coeff in self.coeffs.values()
+                        if type(coeff) is not int]
+        scale = math.lcm(*denominators) if denominators else 1
         total = 0
         for (dp, dq), coeff in self.coeffs.items():
             total += (coeff.numerator * (scale // coeff.denominator)
-                      * p.numerator**dp * p.denominator**(max_dp - dp)
-                      * q.numerator**dq * q.denominator**(max_dq - dq))
-        return Fraction(total, scale * p.denominator**max_dp * q.denominator**max_dq)
+                      * p_num**dp * p_den**(max_dp - dp) * q_num**dq * q_den**(max_dq - dq))
+        return Fraction(total, scale * p_den**max_dp * q_den**max_dq)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -168,31 +180,28 @@ def divide_by_q_minus_p(numerator: BivariatePoly) -> BivariatePoly:
     quotient: dict[Key, Coeff] = {}
     carry: dict[int, Coeff] = {}  # B_k, a polynomial in p
     for k in range(degree, 0, -1):
-        a_k = by_q.get(k, {})
-        b_km1 = dict(carry)
-        for dp, coeff in a_k.items():
+        b_km1 = carry  # a new dict every step, so it can take A_k in place
+        for dp, coeff in by_q.get(k, {}).items():
             b_km1[dp] = b_km1.get(dp, 0) + coeff
+        # multiply by p before folding into the next lower power of q
+        carry = {}
         for dp, coeff in b_km1.items():
             if coeff != 0:
                 quotient[(dp, k - 1)] = coeff
-        # multiply by p before folding into the next lower power of q
-        carry = {dp + 1: coeff for dp, coeff in b_km1.items() if coeff != 0}
+                carry[dp + 1] = coeff
     remainder = dict(carry)
     for dp, coeff in by_q.get(0, {}).items():
         remainder[dp] = remainder.get(dp, 0) + coeff
     if any(coeff != 0 for coeff in remainder.values()):
         raise DomainError("numerator is not divisible by (q - p)")
-    return BivariatePoly(quotient)
+    return BivariatePoly._of(quotient)
 
 
 def rising_ratio(m: int, c: int) -> int:
     """Gamma(m + c) / m! as an exact integer, for integer m >= 0, c >= 1."""
     if m < 0 or c < 1:
         raise DomainError("rising_ratio needs m >= 0 and c >= 1")
-    out = 1
-    for t in range(1, c):
-        out *= m + t
-    return out
+    return math.perm(m + c - 1, c - 1)
 
 
 def convolution_sum(c1: int, c2: int, z_total: int, p, q) -> Fraction:

@@ -63,9 +63,11 @@ def _structure_ratios(n: np.ndarray, n_c: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 def _pair_terms(y, a, log_r1: float, z_total: int) -> np.ndarray:
+    """Unnormalized log pmf terms of the group-1 allocation over
+    0..z_total: one row for a dataset y, or one per row of a (k, 2) stack."""
     z = np.arange(z_total + 1, dtype=np.float64)
-    c1 = y[0] + a[0]
-    c2 = y[1] + a[1]
+    c1 = y[..., 0, None] + a[0]
+    c2 = y[..., 1, None] + a[1]
     return (
         gammaln(z + c1)
         - gammaln(z + 1.0)
@@ -76,12 +78,13 @@ def _pair_terms(y, a, log_r1: float, z_total: int) -> np.ndarray:
 
 
 def _normalized_pair_terms(y, a, log_r1: float,
-                           z_total: int) -> tuple[np.ndarray, float]:
+                           z_total: int) -> tuple[np.ndarray, np.ndarray]:
     """(log pmf of the group-1 allocation over 0..z_total, log normalizer)
-    from one set of terms and one log-sum-exp."""
+    from one set of terms and one log-sum-exp; a (k, 2) stack of datasets
+    gives k rows and k normalizers."""
     terms = _pair_terms(y, a, log_r1, z_total)
-    log_c = logsumexp(terms)
-    return terms - log_c, float(log_c)
+    log_c = logsumexp(terms, axis=-1)
+    return terms - log_c[..., None], log_c
 
 
 def _checked_pair(y, a, b, n):

@@ -392,7 +392,15 @@ def _map_replicates(config: StudyConfig, cases: list,
                              initargs=(os.getpid(), config, cases)) as pool:
         # a few chunks per worker balance the load with few round trips
         chunksize = max(1, len(tasks) // (4 * n_procs))
-        return list(pool.map(_replicate_task, tasks, chunksize=chunksize))
+        try:
+            return list(pool.map(_replicate_task, tasks, chunksize=chunksize))
+        except KeyboardInterrupt:
+            # a group SIGINT reaches the workers too, and one interrupted
+            # inside the call queue's lock leaves it held, so the executor's
+            # teardown would wait on the others forever: end them first
+            for worker in pool._processes.values():
+                worker.terminate()
+            raise
 
 
 def run_study(config: StudyConfig) -> list[StudyResult]:

@@ -6,6 +6,7 @@ import pytest
 
 import dpcounts.audit as audit_module
 from dpcounts.audit import (
+    AUDIT_SLACK,
     AuditReport,
     BoundInstance,
     Witness,
@@ -17,6 +18,7 @@ from dpcounts.audit import (
 from dpcounts.core import CountDataset
 from dpcounts.dirichlet_mult import calibrate_md, md_log_ratio
 from dpcounts.errors import DomainError, UsageError
+from dpcounts.exact_math import exact_normalizer
 from dpcounts.poisson_gamma import (
     TargetRule,
     _normalized_pair_terms,
@@ -166,10 +168,92 @@ class TestEnumerationEngine:
         # it does not cancel in the normalizer ratio
         def off(y, a, log_r1, z_total):
             log_pmf, log_c = _normalized_pair_terms(y, a, log_r1, z_total)
-            return log_pmf, log_c + 1e-6 * y[0]
+            return log_pmf, log_c + 1e-6 * y[..., 0]
         monkeypatch.setattr(audit_module, "_normalized_pair_terms", off)
         with pytest.raises(ArithmeticError):
             audit_synthesizer("pg2", 1.0, 3, a=[3.0, 2.0], **self.PG_ARGS)
+
+
+def _reference_audit(epsilon, y_total, log_ratios):
+    """The per-pair loop that the table engine replaced: one row
+    ``log_ratios(y, x)`` over z1 = 0..y_total per ordered neighbor pair,
+    keeping the first largest |value| in (pair, z1) order."""
+    best = None
+    checked = 0
+    for y, x in enumerate_neighbors(y_total):
+        row = np.abs(log_ratios(y, x))
+        z1 = int(np.argmax(row))
+        if best is None or row[z1] > best[0]:
+            best = (float(row[z1]), Witness(y=y, x=x, z=(z1, y_total - z1)))
+        checked += row.size
+    max_ratio, witness = best
+    return AuditReport(epsilon_target=float(epsilon), max_abs_log_ratio=max_ratio,
+                       witness=witness, satisfied=max_ratio <= epsilon + AUDIT_SLACK,
+                       instances_checked=checked)
+
+
+def _reference_rows(y_total, exact=False, alpha=None, a=None, b=None, populations=None):
+    """Per-pair rows of the md, pg2 float or pg2 exact route, from the
+    single-pair and single-dataset kernels."""
+    z = [(z1, y_total - z1) for z1 in range(y_total + 1)]
+    if alpha is not None:
+        return lambda y, x: md_log_ratio(np.array(z), y, x, alpha)
+    if not exact:
+        return lambda y, x: (conditional_log_pmf_all(y, a, b, populations, y_total)
+                             - conditional_log_pmf_all(x, a, b, populations, y_total))
+    b_frac = [Fraction(float(v)) for v in b]
+    n_frac = [Fraction(float(v)) for v in populations]
+    r1 = (b_frac[1] / n_frac[1] + 2) / (b_frac[0] / n_frac[0] + 2)
+
+    def rows(y, x):
+        c_ratio = exact_normalizer(x, a, r1, y_total) / exact_normalizer(y, a, r1, y_total)
+        dec, inc = (0, 1) if x[0] == y[0] - 1 else (1, 0)
+        ratios = [c_ratio * Fraction(zz[dec] + y[dec] + a[dec] - 1, zz[inc] + y[inc] + a[inc])
+                  for zz in z]
+        return np.array([math.log(r.numerator) - math.log(r.denominator) for r in ratios])
+
+    return rows
+
+
+class TestTableEngine:
+    """Each route's whole-table audit equals the per-pair reference loop,
+    field for field."""
+
+    ROUTES = {
+        "md": ("md", dict(alpha=[1.0, 2.5])),
+        "md-equal-alpha": ("md", dict(alpha=[2.0, 2.0])),
+        "pg2": ("pg2", dict(a=[3.0, 2.0], b=[1.5, 4.0], populations=[1.0, 2.0])),
+        "pg2-heterogeneous": ("pg2", dict(a=[0.7, 5.3], b=[0.9, 2.2],
+                                          populations=[3.0, 0.5])),
+        "pg2-exact": ("pg2", dict(a=[3, 2], b=[1.5, 4.0], populations=[1.0, 2.0],
+                                  exact=True)),
+        "pg2-exact-heterogeneous": ("pg2", dict(a=[1, 4], b=[0.5, 8.0],
+                                                populations=[3.0, 0.5], exact=True)),
+    }
+
+    @pytest.mark.parametrize("total", [1, 4, 12])
+    @pytest.mark.parametrize("epsilon", [0.5, 3.0])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_every_route_matches_the_per_pair_loop(self, route, epsilon, total):
+        mechanism, params = self.ROUTES[route]
+        report = audit_synthesizer(mechanism, epsilon, total, **params)
+        assert report == _reference_audit(epsilon, total, _reference_rows(total, **params))
+
+    def test_tie_takes_the_first_pair_and_allocation(self):
+        # equal alpha: mirrored pairs reach equal |ratio|, and the witness
+        # is the first of them in (pair, z1) order
+        total, alpha = 4, [2.0, 2.0]
+        rows = _reference_rows(total, alpha=alpha)
+        table = [np.abs(rows(y, x)) for y, x in enumerate_neighbors(total)]
+        top = max(row.max() for row in table)
+        ties = [(pair, z1) for pair, row in enumerate(table)
+                for z1 in range(total + 1) if row[z1] == top]
+        assert len(ties) > 1
+        pair, z1 = ties[0]
+        y, x = enumerate_neighbors(total)[pair]
+        report = audit_synthesizer("md", 1.0, total, alpha=alpha)
+        assert report.witness == Witness(y=y, x=x, z=(z1, total - z1))
+        assert report.max_abs_log_ratio == top
 
 
 class TestBoundSweep:
@@ -197,6 +281,14 @@ class TestBoundSweep:
         (row,) = result.rows
         # penalty term vanishes, bound reduces to the r-free expression
         assert row.bound == pytest.approx(math.log(4.0))
+        assert row.slack >= -1e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="normalizer_ratio_bound falls below the exact ratio past "
+                              "total 8: exact 0.43487 against a bound of 0.28768 here")
+    def test_bound_holds_at_the_enumeration_cap(self):
+        inst = BoundInstance(y=(6, 6), a=(2, 1), r=Fraction(1, 3), z_total=12)
+        (row,) = bound_accuracy_sweep([inst]).rows
         assert row.slack >= -1e-12
 
     def test_small_grid_never_negative(self):
