@@ -17,7 +17,6 @@ from .core import (
     Provenance,
     RngStream,
     SyntheticDataset,
-    negbin_log_pmf,
     sample_dirichlet,
     sample_gamma,
     sample_multinomial,

@@ -4,11 +4,12 @@ Small two-group instances are small enough to check the privacy definition
 itself: enumerate every dataset with the public total, every neighbor, and
 every synthetic allocation, and compare the worst absolute log ratio against
 the target budget. Each route fills one table of ln p(z|y) - ln p(z|x), a row
-per ordered neighbor pair and a column per allocation, with its own module's
-batch kernel, and one engine reads the worst entry off it. The float routes
-compute every ratio two independent ways (pmf difference and the cancelled
-closed form); for integer prior strengths the exact route forms each ratio
-as a reduced integer fraction of exact normalizers and logs it at the end.
+per ordered neighbor pair and a column per allocation, and one engine reads
+the worst entry off it. The float routes compute every ratio two independent
+ways: the cancelled closed form, and log pmf differences read off one
+(dataset x allocation) call of core's shared allocation kernel. For integer
+prior strengths the exact route forms each ratio as a reduced integer
+fraction of exact normalizers and logs it at the end.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import exact_math
+from .core import _allocations
 from .dirichlet_mult import md_log_pmf, md_log_ratio
 from .errors import DomainError, UsageError
 from .poisson_gamma import _normalized_pair_terms, normalizer_ratio_bound, structure_ratio
@@ -89,13 +91,6 @@ def _cross_check(value, other) -> None:
         raise ArithmeticError("ratio evaluation routes disagree")
 
 
-def _allocations(z_total: int) -> np.ndarray:
-    """Every two-group allocation (z1, z_total - z1), z1 = 0..z_total; with
-    the total fixed, also every dataset, in the order of its first count."""
-    z1 = np.arange(z_total + 1)
-    return np.stack([z1, z_total - z1], axis=1)
-
-
 def _pairs(y_total: int) -> np.ndarray:
     """`enumerate_neighbors` as two (P, 2) stacks, y and x."""
     return np.array(enumerate_neighbors(y_total)).transpose(1, 0, 2)
@@ -109,7 +104,7 @@ def _md_table(alpha, y_total: int) -> np.ndarray:
     z = _allocations(y_total)
     y, x = _pairs(y_total)
     table = md_log_ratio(z, y, x, alpha).T
-    log_pmf = np.array([md_log_pmf(z, data, alpha) for data in z])
+    log_pmf = md_log_pmf(z, z, alpha)
     _cross_check(table, log_pmf[y[:, 0]] - log_pmf[x[:, 0]])
     return table
 
@@ -125,9 +120,7 @@ def _pg2_table(a, b, n, y_total: int) -> np.ndarray:
     if np.any(a <= 0):
         raise DomainError("a must be positive")
     z = _allocations(y_total)
-    log_pmf, log_c = _normalized_pair_terms(z.astype(np.float64), a,
-                                            math.log(structure_ratio(0, n, b)),
-                                            y_total)
+    log_pmf, log_c = _normalized_pair_terms(z, a, math.log(structure_ratio(0, n, b)), y_total)
     y, x = _pairs(y_total)
     table = log_pmf[y[:, 0]] - log_pmf[x[:, 0]]
     # each pair's (decremented, incremented) group, as a column

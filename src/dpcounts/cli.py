@@ -286,6 +286,11 @@ def _cmd_synthesize(config: RunConfig) -> int:
             return md_synthesize(data, prior, stream)
     elif config.method in ("pg-exact2", "pg-multinomial"):
         targets, rule = _pg_targets(config, data, rng.child(8))
+        if rule is TargetRule.STATE_AVERAGE:
+            # raw state rates come from the confidential data, which the
+            # certified epsilon does not cover
+            raise UsageError("--target-rule state needs --state-noise-epsilon "
+                             "(or --target-rates) for a release")
         cal = calibrate_pg(config.epsilon, data, target_rates=targets, rule=rule)
         prior = cal.prior()
         strategy = (SynthesisStrategy.EXACT_PAIR if config.method == "pg-exact2"
@@ -504,7 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub("calibrate", "solve prior hyperparameters for a budget")
     cal.add_argument("--method",
-                     choices=["md", "pg-national", "pg-state", "pg-custom"])
+                     choices=["md", "pg-national", "pg-state", "pg-custom"],
+                     help="pg-state without --state-noise-epsilon writes the "
+                          "confidential state rates into its JSON: a tool "
+                          "for the data holder, not a release")
     cal.add_argument("--epsilon", type=float)
     cal.add_argument("--z-total", type=int, dest="y_total")
     cal.add_argument("--input", dest="input_path")
@@ -520,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--m", type=int, dest="m_datasets",
                      help="number of synthetic releases (default 1)")
     syn.add_argument("--target-rule", dest="target_rule",
-                     choices=["national", "state", "custom"])
+                     choices=["national", "state", "custom"],
+                     help="state needs --state-noise-epsilon or --target-rates")
     syn.add_argument("--target-rates", dest="target_rates")
     syn.add_argument("--state-noise-epsilon", type=float, dest="state_noise_epsilon")
     _add_common(syn)

@@ -3,18 +3,17 @@
 Everything downstream (both synthesizers, the audits, the simulation study)
 builds on the pieces here: an immutable count dataset, a prior specification,
 a counter-based random stream that makes every draw reproducible from a
-(seed, stream_id) pair, and the handful of special-function kernels the
-conjugate models need.
+(seed, stream_id) pair, the samplers, and the one allocation kernel both
+conjugate laws are built on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
+from scipy.special import gammaln
 
 from .errors import DomainError, UsageError
 
@@ -323,26 +322,21 @@ def sample_multinomial(total: int, probs, rng: RngStream) -> np.ndarray:
     return rng.generator.multinomial(total, probs / psum).astype(np.int64)
 
 
-def negbin_log_pmf(z, r: float, p: float):
-    """Log pmf of the negative binomial with ``r`` successes-to-go and
-    per-event probability ``p``:
+def _allocations(z_total: int) -> np.ndarray:
+    """Every two-group allocation (z1, z_total - z1), z1 = 0..z_total; with
+    the total fixed, also every dataset, in the order of its first count."""
+    z1 = np.arange(z_total + 1)
+    return np.stack([z1, z_total - z1], axis=1)
 
-        ln [ Gamma(z + r) / (z! Gamma(r)) * p^z * (1 - p)^r ]
 
-    Supports scalar or vector ``z``.
-    """
-    if not (r > 0):
-        raise DomainError("r must be positive")
-    if not (0.0 < p < 1.0):
-        raise DomainError("p must lie strictly between 0 and 1")
-    z_arr = _as_count_vector(np.atleast_1d(z), "z")
-    out = (
-        special.gammaln(z_arr + r)
-        - special.gammaln(z_arr + 1.0)
-        - special.gammaln(r)
-        + z_arr * math.log(p)
-        + r * math.log1p(-p)
-    )
-    if np.ndim(z) == 0:
-        return float(out[0])
+def _allocation_terms(z, c) -> np.ndarray:
+    """sum_i [ln Gamma(z_i + c_i) - ln z_i!] over the last axis, the part of
+    ln p(z | y) that depends on z under both conjugate laws: c = y + alpha
+    (multinomial-Dirichlet) or c = y + a (Poisson-gamma). Arrays z and c
+    broadcast, so allocations against a stack of datasets give a table.
+    Groups are added one at a time, in order, so the rounding does not
+    depend on how numpy splits a reduction."""
+    out = 0.0
+    for i in range(z.shape[-1]):
+        out = out + gammaln(z[..., i] + c[..., i]) - gammaln(z[..., i] + 1.0)
     return out

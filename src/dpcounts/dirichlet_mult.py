@@ -22,6 +22,7 @@ from .core import (
     Provenance,
     RngStream,
     SyntheticDataset,
+    _allocation_terms,
     sample_dirichlet,
     sample_multinomial,
 )
@@ -87,21 +88,19 @@ def _checked_triple(z, y, alpha):
 def md_log_pmf(z, y, alpha) -> float | np.ndarray:
     """Log of the collapsed predictive: the probability of allocation ``z``
     after integrating the multinomial weights against their Dirichlet
-    posterior given ``y``. A (k, I) batch of allocations gives k values."""
+    posterior given ``y``. A (k, I) batch of allocations gives k values, an
+    (m, I) stack of datasets gives m, and both give an (m, k) table with a
+    row per dataset."""
     z, y, alpha = _checked_triple(z, y, alpha)
-    if y.ndim != 1:
-        raise UsageError("y must be one dataset")
-    z_total = int(y.sum())
+    z_total = y.sum(axis=-1)
     ya = y + alpha
-    out = (
-        gammaln(z_total + 1)
-        - gammaln(z + 1.0).sum(axis=-1)
-        + gammaln(ya.sum())
-        - gammaln(ya).sum()
-        + gammaln(z + ya).sum(axis=-1)
-        - gammaln(z_total + ya.sum())
-    )
-    return float(out) if z.ndim == 1 else out
+    ya_total = ya.sum(axis=-1)
+    const = (gammaln(z_total + 1) + gammaln(ya_total) - gammaln(ya).sum(axis=-1)
+             - gammaln(z_total + ya_total))
+    if z.ndim == 2:  # one column per allocation
+        const, ya = const[..., None], ya[..., None, :]
+    out = const + _allocation_terms(z, ya)
+    return float(out) if out.ndim == 0 else out
 
 
 def neighbor_indices(y, x) -> tuple:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from .core import (
     CountDataset,
@@ -31,6 +31,8 @@ from .core import (
     Provenance,
     RngStream,
     SyntheticDataset,
+    _allocation_terms,
+    _allocations,
     sample_gamma,
     sample_multinomial,
 )
@@ -62,27 +64,13 @@ def _structure_ratios(n: np.ndarray, n_c: np.ndarray, b: np.ndarray) -> np.ndarr
     return (b_c / n_c + 2.0) / (b / n + 2.0)
 
 
-def _pair_terms(y, a, log_r1: float, z_total: int) -> np.ndarray:
-    """Unnormalized log pmf terms of the group-1 allocation over
-    0..z_total: one row for a dataset y, or one per row of a (k, 2) stack."""
-    z = np.arange(z_total + 1, dtype=np.float64)
-    c1 = y[..., 0, None] + a[0]
-    c2 = y[..., 1, None] + a[1]
-    return (
-        gammaln(z + c1)
-        - gammaln(z + 1.0)
-        + gammaln(z_total - z + c2)
-        - gammaln(z_total - z + 1.0)
-        + z * log_r1
-    )
-
-
 def _normalized_pair_terms(y, a, log_r1: float,
                            z_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log pmf of the group-1 allocation over 0..z_total, log normalizer)
-    from one set of terms and one log-sum-exp; a (k, 2) stack of datasets
-    gives k rows and k normalizers."""
-    terms = _pair_terms(y, a, log_r1, z_total)
+    """(log pmf of the group-1 allocation over 0..z_total, log normalizer):
+    the shared allocation terms plus z1 ln r1, and one log-sum-exp; a (k, 2)
+    stack of datasets gives k rows and k normalizers."""
+    z = _allocations(z_total)
+    terms = _allocation_terms(z, (y + a)[..., None, :]) + z[:, 0] * log_r1
     log_c = logsumexp(terms, axis=-1)
     return terms - log_c[..., None], log_c
 
@@ -111,7 +99,7 @@ def log_normalizer_from_ratio(y, a, r1: float, z_total: int) -> float:
         raise DomainError("z_total must be non-negative")
     y = np.asarray(y, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    return float(logsumexp(_pair_terms(y, a, math.log(r1), int(z_total))))
+    return float(_normalized_pair_terms(y, a, math.log(r1), int(z_total))[1])
 
 
 def conditional_log_pmf_all(y, a, b, n, z_total: int) -> np.ndarray:

@@ -201,6 +201,18 @@ class TestSynthesizeCommand:
         assert run_cli(argv) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("method", ["pg-exact2", "pg-multinomial"])
+    def test_state_targets_without_noise_are_refused(self, tmp_path, capsys, method):
+        # raw state rates leak the confidential state totals: fail closed
+        src = tmp_path / "pair.csv"
+        src.write_text(PAIR_CSV)
+        code = run_cli(["synthesize", "--method", method, "--epsilon", "1",
+                        "--input", str(src), "--target-rule", "state",
+                        "--output", str(tmp_path / "release.csv")])
+        assert code == 3
+        assert "--state-noise-epsilon" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
+
 
 RELEASE_CSV = """group_id,state_id,population,count
 01001,s01,1200.0,4

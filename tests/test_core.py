@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import gammaln
 
 from dpcounts.core import (
     CountDataset,
@@ -13,12 +14,14 @@ from dpcounts.core import (
     Provenance,
     RngStream,
     SyntheticDataset,
-    negbin_log_pmf,
+    _allocation_terms,
+    _allocations,
     sample_dirichlet,
     sample_gamma,
     sample_multinomial,
 )
 from dpcounts.errors import DomainError, UsageError
+from dpcounts.poisson_gamma import conditional_log_pmf_all
 
 
 class TestRngStream:
@@ -133,14 +136,60 @@ class TestSampleMultinomial:
             sample_multinomial(3, [0.5, 0.4], RngStream(0))
 
 
-class TestNegbinLogPmf:
+class TestAllocationKernel:
+    def test_poisson_gamma_marginal_matches_quadrature(self):
+        # each group's posterior predictive, Pois(z | n lam) integrated
+        # against lam | y ~ Gamma(y + a, n + b), multiplied over the two
+        # groups and conditioned on their sum, is the exact conditional law
+        y, a, b, n = (1, 3), (2.0, 0.7), (3.0, 1.5), (4.0, 9.0)
+        z_total = 5
+
+        def predictive(i, z):
+            def integrand(lam):
+                return (stats.poisson.pmf(z, n[i] * lam)
+                        * stats.gamma.pdf(lam, y[i] + a[i], scale=1 / (n[i] + b[i])))
+            value, err = integrate.quad(integrand, 0, np.inf, epsabs=1e-12, epsrel=1e-12)
+            assert err < 1e-9
+            return value
+
+        joint = np.array([predictive(0, z1) * predictive(1, z_total - z1)
+                          for z1 in range(z_total + 1)])
+        got = np.exp(conditional_log_pmf_all(y, a, b, n, z_total))
+        np.testing.assert_allclose(got, joint / joint.sum(), rtol=0, atol=1e-8)
+
+    def test_stacks_broadcast_to_their_single_values(self):
+        z = _allocations(4)
+        c = np.array([[0.5, 2.0], [3.0, 1.25], [7.5, 0.1]])
+        table = _allocation_terms(z, c[:, None, :])
+        assert table.shape == (3, 5)
+        for m, row in enumerate(c):
+            for k, alloc in enumerate(z):
+                assert table[m, k] == _allocation_terms(alloc, row)
+
+    def test_two_groups_add_in_a_fixed_order(self):
+        # the audits' byte-identical reports rest on this rounding order
+        z = _allocations(12)
+        c = np.array([0.3, 41.7])
+        expected = (gammaln(z[:, 0] + c[0]) - gammaln(z[:, 0] + 1.0)
+                    + gammaln(z[:, 1] + c[1]) - gammaln(z[:, 1] + 1.0))
+        assert np.array_equal(_allocation_terms(z, c), expected)
+
+    # With one group the kernel is the z-dependent part of the negative
+    # binomial NegBin(z | r, p): add z ln p + r ln(1 - p) - ln Gamma(r).
+    @staticmethod
+    def _negbin_log_pmf(z, r, p):
+        z = np.atleast_1d(z)
+        return (_allocation_terms(z[:, None], np.array([r])) - gammaln(r)
+                + z * math.log(p) + r * math.log1p(-p))
+
     def test_geometric_anchors(self):
-        assert negbin_log_pmf(0, 1.0, 1 / 3) == pytest.approx(math.log(2 / 3), rel=1e-14)
-        assert negbin_log_pmf(1, 1.0, 1 / 3) == pytest.approx(math.log(2 / 9), rel=1e-14)
+        # r = 1 is the geometric law p^z (1 - p)
+        got = self._negbin_log_pmf([0, 1], 1.0, 1 / 3)
+        assert got[0] == pytest.approx(math.log(2 / 3), rel=1e-14)
+        assert got[1] == pytest.approx(math.log(2 / 9), rel=1e-14)
 
     def test_partial_sums_to_one(self):
-        z = np.arange(201)
-        total = np.exp(negbin_log_pmf(z, 2.5, 0.4)).sum()
+        total = np.exp(self._negbin_log_pmf(np.arange(201), 2.5, 0.4)).sum()
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("r,p", [(0.7, 0.45), (3.2, 0.08), (12.0, 0.49)])
@@ -148,27 +197,10 @@ class TestNegbinLogPmf:
         # truncation chosen so the tail mass is below 1e-12 (scipy tail oracle)
         cutoff = int(stats.nbinom.isf(1e-13, r, 1 - p)) + 1
         assert stats.nbinom.sf(cutoff - 1, r, 1 - p) < 1e-12
-        total = np.exp(negbin_log_pmf(np.arange(cutoff + 1), r, p)).sum()
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("r,p", [(1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (1.0, -0.2)])
-    def test_domain(self, r, p):
-        with pytest.raises(DomainError):
-            negbin_log_pmf(0, r, p)
-
-    def test_poisson_gamma_marginal_matches_quadrature(self):
-        # the group posterior predictive: Pois(z | n lam) integrated against
-        # lam | y ~ Gamma(y + a, n + b) is NegBin(y + a, n / (b + 2n))
-        y, a, b, n = 1, 2.0, 3.0, 4.0
-        shape, rate = y + a, n + b
-        for z in range(4):
-            def integrand(lam, z=z):
-                return stats.poisson.pmf(z, n * lam) * stats.gamma.pdf(lam, shape, scale=1 / rate)
-            expected, err = integrate.quad(integrand, 0, np.inf,
-                                           epsabs=1e-12, epsrel=1e-12)
-            assert err < 1e-9
-            got = math.exp(negbin_log_pmf(z, shape, n / (b + 2.0 * n)))
-            assert got == pytest.approx(expected, abs=1e-8)
+        got = self._negbin_log_pmf(np.arange(cutoff + 1), r, p)
+        np.testing.assert_allclose(got, stats.nbinom.logpmf(np.arange(cutoff + 1), r, 1 - p),
+                                   rtol=1e-10, atol=0)
+        assert np.exp(got).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCountDataset:

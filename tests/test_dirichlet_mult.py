@@ -153,6 +153,31 @@ class TestMdLogRatio:
             assert pmfs[k] == md_log_pmf(row, y, alpha)
         with pytest.raises(UsageError):
             md_log_ratio(np.array([[1, 5], [2, 3]]), y, x, alpha)
+        # an (m, I) stack of datasets gives one row per dataset
+        table = md_log_pmf(z, z, alpha)
+        assert table.shape == (7, 7)
+        for m, data in enumerate(z):
+            assert np.array_equal(table[m], md_log_pmf(z, data, alpha))
+        # one allocation against a stack of datasets is allowed, as in
+        # md_log_ratio: one value per dataset
+        column = md_log_pmf(z[2], z, alpha)
+        assert column.shape == (7,)
+        assert np.array_equal(column, table[:, 2])
+        with pytest.raises(UsageError):
+            md_log_pmf(z, np.array([[2, 4], [3, 4]]), alpha)
+
+    def test_dataset_stack_table_is_the_dirichlet_multinomial(self):
+        # each row of the (m, k) table is DirMult(z | T, y + alpha) over all
+        # k allocations of the total, here with three groups
+        from scipy.stats import dirichlet_multinomial
+        alpha = np.array([0.4, 1.5, 3.0])
+        z = np.array(list(compositions(5, 3)))
+        table = md_log_pmf(z, z, alpha)
+        assert table.shape == (len(z), len(z))
+        for m, data in enumerate(z):
+            expected = dirichlet_multinomial.logpmf(z, data + alpha, 5)
+            np.testing.assert_allclose(table[m], expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.exp(table).sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_group_swap_invariance(self):
         alpha = np.array([2.0, 5.0])

@@ -419,8 +419,15 @@ class TestWorkerTeardown:
                 "--scenarios", "uniform-uniform", "--n-groups", "50",
                 "--y-total", "500", "--replicates", "2000", "--epsilons", "1",
                 "--workers", "2", "--output", str(tmp_path / "study.csv")]
-        proc = subprocess.Popen(argv, env=env, start_new_session=True,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        # The child's stderr is kept, so a run that exits 0 shows why. Its
+        # SIGINT starts at the default, as for a job at a terminal: a test run
+        # started in the background of a non-interactive shell ignores
+        # SIGINT, and the child would inherit that and finish its study.
+        with open(tmp_path / "stderr.txt", "wb") as stderr:
+            proc = subprocess.Popen(
+                argv, env=env, start_new_session=True,
+                stdout=subprocess.DEVNULL, stderr=stderr,
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         if not _wait_until(lambda: len(_children(proc.pid)) == 2, 60):
             proc.kill()
             proc.wait()
@@ -437,7 +444,8 @@ class TestWorkerTeardown:
                 os.killpg(proc.pid, signal.SIGINT)
             else:                             # a worker dies: broken pool
                 os.kill(workers[0], signal.SIGKILL)
-            assert proc.wait(60) != 0
+            assert proc.wait(60) != 0, \
+                "stderr of the run:\n" + (tmp_path / "stderr.txt").read_text()
             assert _wait_until(lambda: not any(map(_running, workers)), 10)
         finally:
             for pid in [proc.pid, *workers]:
