@@ -222,11 +222,18 @@ def _resolve_rule(config: RunConfig) -> TargetRule:
         raise UsageError(f"unknown target rule {config.target_rule!r}")
 
 
+def _noised_state_targets(config: RunConfig) -> bool:
+    """Whether the Poisson-gamma targets are state rates with Laplace noise
+    on the state event totals."""
+    return (config.target_rates is None and config.state_noise_epsilon is not None
+            and _resolve_rule(config) is TargetRule.STATE_AVERAGE)
+
+
 def _pg_targets(config: RunConfig, data: CountDataset, rng: RngStream):
     rule = _resolve_rule(config)
     if config.target_rates is not None:
         return _parse_vector(config.target_rates, "target_rates"), TargetRule.CUSTOM
-    if rule is TargetRule.STATE_AVERAGE and config.state_noise_epsilon is not None:
+    if _noised_state_targets(config):
         sanitized = sanitize_state_rates(data, config.state_noise_epsilon, rng)
         return sanitized, TargetRule.CUSTOM
     return None, rule
@@ -278,6 +285,7 @@ def _cmd_synthesize(config: RunConfig) -> int:
         raise UsageError("--m must be at least 1")
     data = ingest_counts(config.input_path)
     rng = RngStream(config.seed)
+    noise_epsilon = 0.0  # the budget of noised state targets, if any
     if config.method == "md":
         alpha_min = calibrate_md(config.epsilon, data.total).alpha_min
         prior = PriorSpec.multinomial_dirichlet(np.full(data.n_groups, alpha_min))
@@ -291,6 +299,8 @@ def _cmd_synthesize(config: RunConfig) -> int:
             # certified epsilon does not cover
             raise UsageError("--target-rule state needs --state-noise-epsilon "
                              "(or --target-rates) for a release")
+        if _noised_state_targets(config):
+            noise_epsilon = config.state_noise_epsilon
         cal = calibrate_pg(config.epsilon, data, target_rates=targets, rule=rule)
         prior = cal.prior()
         strategy = (SynthesisStrategy.EXACT_PAIR if config.method == "pg-exact2"
@@ -307,11 +317,21 @@ def _cmd_synthesize(config: RunConfig) -> int:
     provenance = synth.provenance
     _write_table(config.output_path, config, ["group_id", "replicate", "z"], blocks)
     sidecar = Path(config.output_path).with_suffix(".provenance.json")
+    # The m releases are m draws from the same data, and the noised state
+    # totals are released through the prior: by basic sequential composition
+    # the file costs their sum. Moving one event changes two state totals by
+    # one each, so the Laplace noise costs 2 * noise_epsilon.
+    formula = "m_datasets * epsilon_certified"
+    if noise_epsilon:
+        formula += " + 2 * state_noise_epsilon"
     _write_json(sidecar, config, {
         "method": provenance.method,
         "strategy": provenance.strategy,
         "epsilon_certified": provenance.epsilon,
         "epsilon_requested": config.epsilon,
+        "epsilon_file": config.m_datasets * provenance.epsilon + 2.0 * noise_epsilon,
+        "epsilon_file_rule": (f"{formula}, by basic sequential composition "
+                              "(Dwork & Roth 2014, Section 3.5)"),
         "m_datasets": config.m_datasets,
         "total": data.total,
     })

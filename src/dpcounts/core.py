@@ -185,6 +185,16 @@ class CountDataset:
         )
 
 
+def _check_gamma_prior(a: np.ndarray, b: np.ndarray) -> None:
+    """Poisson-gamma hyperparameters must be finite and positive; a and b
+    may be one prior's vectors or (k, I) stacks of k priors."""
+    for name, arr in (("a", a), ("b", b)):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite")
+    if (a <= 0).any() or (b <= 0).any():
+        raise DomainError("a and b must be positive")
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Hyperparameters for either synthesizer.
@@ -215,8 +225,7 @@ class PriorSpec:
             b = _as_float_vector(self.b, "b")
             if a.size != b.size:
                 raise DomainError("a and b must have equal length")
-            if (a <= 0).any() or (b <= 0).any():
-                raise DomainError("a and b must be positive")
+            _check_gamma_prior(a, b)
             a.setflags(write=False)
             b.setflags(write=False)
             object.__setattr__(self, "a", a)

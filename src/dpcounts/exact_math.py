@@ -39,7 +39,8 @@ def _exact(value) -> Coeff:
     Fraction."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -137,8 +138,8 @@ class BivariatePoly:
         over the common denominator L * p_den^max_dp * q_den^max_dq, where L
         is the least common multiple of the coefficient denominators, taken
         only when some coefficient is a Fraction."""
-        p = Fraction(p)
-        q = Fraction(q)
+        p = _exact(p)
+        q = _exact(q)
         if self.is_zero():
             return Fraction(0)
         max_dp = max(dp for dp, _ in self.coeffs)
@@ -210,8 +211,8 @@ def convolution_sum(c1: int, c2: int, z_total: int, p, q) -> Fraction:
         raise DomainError("c1 and c2 must be positive integers")
     if z_total < 0:
         raise DomainError("z_total must be non-negative")
-    p = Fraction(p)
-    q = Fraction(q)
+    p = _exact(p)
+    q = _exact(q)
     # summed in integers over the common denominator (p_den q_den)^T:
     # p^z q^(T-z) = (p_num q_den)^z (q_num p_den)^(T-z) / (p_den q_den)^T
     p_side = p.numerator * q.denominator

@@ -165,13 +165,8 @@ class PgCalibration:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
-        e_eps = math.exp(self.epsilon)
-        nu = np.asarray(self.nu, dtype=np.float64)
-        if (nu < 1.0 - 1e-12).any() or (nu >= e_eps).any():
-            raise DomainError("penalty must lie in [1, e^eps)")
-        required = self.z_total / (e_eps / nu - 1.0)
-        if (np.asarray(self.a_min) < required * (1.0 - 1e-9)).any():
-            raise DomainError("a_min fails the budget requirement")
+        _check_requirement(math.exp(self.epsilon), self.z_total,
+                           np.asarray(self.a_min), np.asarray(self.nu, dtype=np.float64))
 
     @property
     def b_min(self) -> np.ndarray:
@@ -179,6 +174,17 @@ class PgCalibration:
 
     def prior(self) -> PriorSpec:
         return PriorSpec.poisson_gamma(a=self.a_min, target_rates=self.target_rates)
+
+
+def _check_requirement(e_eps, z_total: int, a_min: np.ndarray, nu: np.ndarray) -> None:
+    """PgCalibration's budget checks: every penalty lies in [1, e^eps) and
+    every strength meets z_total / (e^eps / nu - 1). For a (k, I) stack of
+    lanes, e_eps is a (k, 1) column of each lane's e^eps."""
+    if (nu < 1.0 - 1e-12).any() or (nu >= e_eps).any():
+        raise DomainError("penalty must lie in [1, e^eps)")
+    required = z_total / (e_eps / nu - 1.0)
+    if (a_min < required * (1.0 - 1e-9)).any():
+        raise DomainError("a_min fails the budget requirement")
 
 
 def _group_states(data: CountDataset):
@@ -193,10 +199,16 @@ def _group_states(data: CountDataset):
     return index, counts, pops, np.argsort(first)
 
 
+def _floored_rates(event_totals, pops) -> np.ndarray:
+    """Crude rates event_totals / pops, floored at RATE_FLOOR_SCALE / pops;
+    a (k, S) matrix of event totals gives one row per count vector."""
+    return np.maximum(event_totals / pops, RATE_FLOOR_SCALE / pops)
+
+
 def state_target_rates(data: CountDataset) -> np.ndarray:
     """Crude event rate of each group's state, floored away from zero."""
     index, counts, pops, _ = _group_states(data)
-    return np.maximum(counts / pops, RATE_FLOOR_SCALE / pops)[index]
+    return _floored_rates(counts, pops)[index]
 
 
 def sanitize_state_rates(data: CountDataset, noise_epsilon: float,
@@ -213,7 +225,7 @@ def sanitize_state_rates(data: CountDataset, noise_epsilon: float,
     index, counts, pops, order = _group_states(data)
     noise = np.empty_like(counts)
     noise[order] = rng.generator.laplace(0.0, 1.0 / noise_epsilon, size=order.size)
-    return np.maximum((counts + noise) / pops, RATE_FLOOR_SCALE / pops)[index]
+    return _floored_rates(counts + noise, pops)[index]
 
 
 def _resolve_targets(data: CountDataset, target_rates, rule: TargetRule) -> np.ndarray:
@@ -258,13 +270,11 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
     exceeds eps. Raises InfeasibleBudgetError if no finite strength meets a
     budget.
 
-    Each budget runs its own solve, so its bracket, steps and iteration
-    count do not depend on the other budgets. Each round gathers the
-    pending strength of every unfinished solve and evaluates them all in
-    one call of the certified-budget kernel, one row per budget. That
-    kernel is pg_implied_epsilon's; its complement is summed over I equal
-    strengths, so each value equals pg_implied_epsilon(n, a * ones,
-    a * ones / target) bit for bit.
+    The budgets are the lanes of one lockstep solve (``_calibrate_lanes``),
+    all sharing this dataset's targets; the simulation study calls the same
+    solver with one lane per (replicate, budget) and targets that differ per
+    lane. A lane's bracket, steps and iteration count depend on its own
+    budget and targets only.
     """
     epsilons = [float(eps) for eps in epsilons]
     if not epsilons:
@@ -277,36 +287,10 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
     if data.total < 1:
         raise DomainError("calibration needs a positive event total")
     lam0 = _resolve_targets(data, target_rates, rule)
-    n = data.populations
-    n_c = n.sum() - n
     total = data.total
-
-    solves = [_illinois(eps, total) for eps in epsilons]
-    pending = [solve.send(None) for solve in solves]
-    evaluations = [0] * len(solves)
-    roots = [0.0] * len(solves)
-    live = list(range(len(solves)))
-    while live:
-        a = np.array([pending[k] for k in live])
-        strengths = np.empty((a.size, n.size))
-        strengths[:] = a[:, None]
-        a_comp = strengths.sum(axis=1) - a
-        certified = _certified_epsilon(n, n_c, a, a_comp, strengths / lam0, total, total)
-        still_live = []
-        for k, value in zip(live, certified.tolist()):
-            evaluations[k] += 1
-            try:
-                pending[k] = solves[k].send(value - epsilons[k])
-                still_live.append(k)
-            except StopIteration as done:
-                roots[k] = done.value
-        live = still_live
-
-    a_min = np.empty((len(roots), n.size))
-    a_min[:] = np.array(roots)[:, None]
-    r = _structure_ratios(n, n_c, a_min / lam0)
-    nu = _penalties(a_min.sum(axis=1, keepdims=True) - a_min, total, total,
-                    r.min(axis=1, keepdims=True))
+    a_min, nu, r, evaluations = _calibrate_lanes(
+        epsilons, data.populations, total,
+        np.broadcast_to(lam0, (len(epsilons), lam0.size)))
     return tuple(
         PgCalibration(
             epsilon=eps,
@@ -320,6 +304,50 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
             target_rates=lam0,
         )
         for k, eps in enumerate(epsilons))
+
+
+def _calibrate_lanes(epsilons, n: np.ndarray, total: int, targets: np.ndarray):
+    """The lockstep solve behind calibrate_pg_budgets. Lane k calibrates
+    budget ``epsilons[k]`` against the target rates in row k of the (k, I)
+    matrix ``targets``; the populations n and the total are shared. Inputs
+    are taken as checked. Returns (a_min, nu, r) as (k, I) matrices and the
+    number of certified-budget evaluations of each lane.
+
+    Each round gathers the pending strength of every unfinished lane and
+    evaluates them all in one call of the certified-budget kernel, one row
+    per lane. That kernel is pg_implied_epsilon's; its complement is summed
+    over I equal strengths, so each value equals pg_implied_epsilon(n,
+    a * ones, a * ones / target) bit for bit, whatever the other lanes hold.
+    """
+    n_c = n.sum() - n
+    solves = [_illinois(eps, total) for eps in epsilons]
+    pending = [solve.send(None) for solve in solves]
+    evaluations = [0] * len(solves)
+    roots = [0.0] * len(solves)
+    live = list(range(len(solves)))
+    while live:
+        a = np.array([pending[k] for k in live])
+        strengths = np.empty((a.size, n.size))
+        strengths[:] = a[:, None]
+        a_comp = strengths.sum(axis=1) - a
+        certified = _certified_epsilon(n, n_c, a, a_comp, strengths / targets[live],
+                                       total, total)
+        still_live = []
+        for k, value in zip(live, certified.tolist()):
+            evaluations[k] += 1
+            try:
+                pending[k] = solves[k].send(value - epsilons[k])
+                still_live.append(k)
+            except StopIteration as done:
+                roots[k] = done.value
+        live = still_live
+
+    a_min = np.empty((len(roots), n.size))
+    a_min[:] = np.array(roots)[:, None]
+    r = _structure_ratios(n, n_c, a_min / targets)
+    nu = _penalties(a_min.sum(axis=1, keepdims=True) - a_min, total, total,
+                    r.min(axis=1, keepdims=True))
+    return a_min, nu, r, evaluations
 
 
 def _illinois(epsilon: float, total: int):

@@ -6,25 +6,38 @@ baseline, Poisson-gamma smoothed to the national rate, Poisson-gamma
 smoothed to state rates) are calibrated to the same budget, a posterior rate
 draw is scored against the truth by rMSE per 100,000, and urban/rural and
 two-state contrasts are tracked. Replicates own derived random streams, so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count and any split of the
+replicates into blocks.
 
 The baseline and national-target priors for each budget, the true state
-rates, and the urban, rural and two-region score groups with their
-population weights, are built once per scenario. Each replicate calibrates
-its state-target priors for all budgets in one lockstep solve and scores its
-rate estimates, one row per (budget, method), into one (4, 3 * n_budgets)
-array: rows rMSE, urban rate, rural rate and region contrast, columns
-(budget, method) with the method varying fastest. Each reported value is a
-1-d mean or percentile over one contiguous replicate series.
+rates, each state's population total, and the urban, rural and two-region
+score groups with their population weights, are built once per scenario.
+The replicates of a scenario then run one block at a time, with no
+per-replicate dataset or prior objects:
 
-With ``n_workers > 1`` the replicates run in a pool of forked worker
-processes (POSIX only). The study runs serially instead where ``fork`` is
-unavailable or the calling process has more than one thread, since forking
-a threaded process can deadlock the child. Each worker inherits the
-scenarios' truths, priors and score groups from the parent and receives
-only (scenario, replicate) indices, so nothing but the small per-replicate
-metrics crosses a process boundary. On Linux a worker is sent SIGTERM when
-its parent dies, so a parent killed by a signal leaves no worker behind.
+- counts: each replicate's counts are drawn on its own stream into one
+  (replicates, groups) matrix;
+- state targets: every row's state event totals come from one bincount, and
+  are sums of integers, so they equal state_target_rates' values exactly;
+- calibration: one lockstep solve over every (replicate, budget) lane, with
+  the calibration's and the prior's checks run on every lane at once;
+- sampling and scoring: each (replicate, method, budget) draws on its own
+  stream into one row, and the rows are scored by row reductions into one
+  (4, 3 * n_budgets, replicates) array: rMSE, urban rate, rural rate and
+  region contrast, columns (budget, method) with the method varying fastest.
+
+Each reported value is a 1-d mean or percentile over one contiguous
+replicate series.
+
+With ``n_workers > 1`` the blocks run in a pool of forked worker processes
+(POSIX only); each scenario is split into enough blocks to give every worker
+one. The study runs serially instead where ``fork`` is unavailable or the
+calling process has more than one thread, since forking a threaded process
+can deadlock the child. Each worker inherits the scenarios' truths, priors
+and score groups from the parent and receives only (scenario, first, stop)
+block bounds, so nothing but the small per-block metrics crosses a process
+boundary. On Linux a worker is sent SIGTERM when its parent dies, so a
+parent killed by a signal leaves no worker behind.
 """
 
 from __future__ import annotations
@@ -36,17 +49,19 @@ import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import CountDataset, PriorModel, PriorSpec, RngStream, sample_dirichlet, sample_gamma, sample_multinomial
+from .core import (CountDataset, PriorModel, PriorSpec, RngStream, _check_gamma_prior,
+                   sample_dirichlet, sample_gamma, sample_multinomial)
 from .dirichlet_mult import calibrate_md
 from .errors import DomainError, UsageError
 # calibrate_pg is not called here, but stays bound: perfbench's tracer wraps
 # it at every module that binds it, and its tests check this module
-from .poisson_gamma import (RATE_FLOOR_SCALE, TargetRule, _group_states,
-                            calibrate_pg, calibrate_pg_budgets,  # noqa: F401
-                            state_target_rates)
+from .poisson_gamma import (RATE_FLOOR_SCALE, TargetRule, _calibrate_lanes,
+                            _check_requirement, _floored_rates, _group_states,
+                            calibrate_pg, calibrate_pg_budgets)  # noqa: F401
 
 RMSE_SCALE = 100_000.0  # rates are reported per 100,000 population
 
@@ -193,15 +208,21 @@ def gen_truth(scenario: Scenario) -> GroundTruth:
                        urban=urban, region_a=region_a, region_b=region_b)
 
 
+def _draw_counts(populations: np.ndarray, rates: np.ndarray, y_total: int,
+                 rng: RngStream) -> np.ndarray:
+    """The multinomial allocation of the fixed total with cell weights
+    n_i * rate_i, which is exactly the law of independent Poisson counts
+    conditioned on their sum."""
+    weights = populations * rates
+    return sample_multinomial(int(y_total), weights / weights.sum(), rng)
+
+
 def gen_replicate(populations, rates, y_total: int, rng: RngStream,
                   state_ids=None) -> CountDataset:
-    """One replicate dataset: the multinomial allocation of the fixed total
-    with cell weights n_i * rate_i, which is exactly the law of independent
-    Poisson counts conditioned on their sum."""
+    """One replicate dataset, its counts drawn as in the study."""
     populations = np.asarray(populations, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
-    weights = populations * rates
-    counts = sample_multinomial(int(y_total), weights / weights.sum(), rng)
+    counts = _draw_counts(populations, rates, y_total, rng)
     return CountDataset.from_counts(counts, populations, state_ids=state_ids)
 
 
@@ -225,12 +246,18 @@ def rate_estimates(method: SynthMethod, data: CountDataset, prior: PriorSpec,
     if method is SynthMethod.MD:
         if prior.mode is not PriorModel.MULTINOMIAL_DIRICHLET:
             raise UsageError("MD estimates need a multinomial-Dirichlet prior")
-        theta = sample_dirichlet(data.counts + prior.alpha, rng)
-        return theta * data.total / data.populations
+        return _dirichlet_rates(data.counts, prior.alpha, data.total, data.populations, rng)
     if prior.mode is not PriorModel.POISSON_GAMMA:
         raise UsageError("PG estimates need a Poisson-gamma prior")
-    return np.asarray(sample_gamma(data.counts + prior.a,
-                                   data.populations + prior.b, rng))
+    return _gamma_rates(data.counts, prior.a, prior.b, data.populations, rng)
+
+
+def _dirichlet_rates(counts, alpha, total: int, populations, rng: RngStream) -> np.ndarray:
+    return sample_dirichlet(counts + alpha, rng) * total / populations
+
+
+def _gamma_rates(counts, a, b, populations, rng: RngStream) -> np.ndarray:
+    return np.asarray(sample_gamma(counts + a, populations + b, rng))
 
 
 def region_contrast(estimates, group_a, group_b, populations) -> float:
@@ -311,30 +338,77 @@ def _true_state_rates(truth: GroundTruth, state_index: np.ndarray) -> np.ndarray
     return np.array(state_rates)[state_index]
 
 
-def _replicate_metrics(config: StudyConfig, cases: list,
-                       task: tuple[int, int]) -> np.ndarray:
-    scenario_idx, rep = task
-    _, truth, y_total, priors, groups, true_state_rates = cases[scenario_idx]
+class _Case(NamedTuple):
+    """What every replicate block of one scenario shares."""
+    label: str
+    truth: GroundTruth
+    y_total: int
+    priors: dict  # the MD and PG-national priors by (method, epsilon index)
+    groups: tuple  # the urban, rural, region A and B score groups
+    state_index: np.ndarray  # per group
+    state_pops: np.ndarray  # per state, in state-index order
+    true_state_rates: np.ndarray  # per group
+
+
+def _block_metrics(config: StudyConfig, cases: list[_Case],
+                   block: tuple[int, int, int]) -> np.ndarray:
+    """Metrics of replicates ``start .. stop - 1`` of one scenario, as a
+    (4, 3 * n_budgets, stop - start) array: rows rMSE, urban rate, rural
+    rate and region contrast, columns (budget, method) with the method
+    varying fastest, one entry per replicate. Every replicate keeps its own
+    streams, so a replicate's values do not depend on the block holding it."""
+    scenario_idx, start, stop = block
+    case = cases[scenario_idx]
+    truth, y_total, priors = case.truth, case.y_total, case.priors
+    pops = truth.populations
     master = RngStream(config.seed)
-    data = gen_replicate(truth.populations, truth.rates, y_total,
-                         master.child(scenario_idx, rep, 0),
-                         state_ids=truth.state_ids)
-    state_targets = (true_state_rates if config.state_targets_from_truth
-                     else state_target_rates(data))
-    state_cals = calibrate_pg_budgets(config.epsilons, data, target_rates=state_targets,
-                                      rule=TargetRule.CUSTOM)
-    estimates = []
-    for e_idx, state_cal in enumerate(state_cals):
-        for m_idx, method in enumerate(_METHODS):
-            prior = (state_cal.prior() if method is SynthMethod.PG_STATE
-                     else priors[method, e_idx])
-            rng = master.child(scenario_idx, rep, 1 + m_idx, e_idx)
-            estimates.append(rate_estimates(method, data, prior, rng))
-    # one row per (epsilon, method), scored by row reductions
-    estimates = np.array(estimates)
+    reps = range(start, stop)
+    counts = np.array([_draw_counts(pops, truth.rates, y_total,
+                                    master.child(scenario_idx, rep, 0)) for rep in reps])
+
+    if config.state_targets_from_truth:
+        targets = np.broadcast_to(case.true_state_rates, counts.shape)
+    else:
+        # every row's state event totals in one bincount, row k's states
+        # offset by k * n_states; sums of integers, so exact in any order
+        n_states = case.state_pops.size
+        bins = case.state_index + n_states * np.arange(len(reps))[:, None]
+        totals = np.bincount(bins.ravel(), weights=counts.ravel(),
+                             minlength=len(reps) * n_states)
+        targets = _floored_rates(totals.reshape(len(reps), n_states),
+                                 case.state_pops)[:, case.state_index]
+
+    # one lane per (replicate, budget), the budget varying fastest; each
+    # lane gets PgCalibration's and PriorSpec's checks
+    epsilons = [float(eps) for eps in config.epsilons]
+    lane_targets = np.repeat(targets, len(epsilons), axis=0)
+    a_min, nu, _, _ = _calibrate_lanes(epsilons * len(reps), pops, y_total, lane_targets)
+    e_eps = np.tile([math.exp(eps) for eps in epsilons], len(reps))
+    _check_requirement(e_eps[:, None], y_total, a_min, nu)
+    b_min = a_min / lane_targets
+    _check_gamma_prior(a_min, b_min)
+
+    # (replicate, budget, method) rows; method m draws on stream
+    # (scenario, replicate, 1 + m, budget), in _METHODS order
+    estimates = np.empty((len(reps), len(epsilons), len(_METHODS), pops.size))
+    for r, rep in enumerate(reps):
+        for e_idx in range(len(epsilons)):
+            lane = r * len(epsilons) + e_idx
+            md, national = priors[SynthMethod.MD, e_idx], priors[SynthMethod.PG_NATIONAL, e_idx]
+            row = estimates[r, e_idx]
+            row[0] = _dirichlet_rates(counts[r], md.alpha, y_total, pops,
+                                      master.child(scenario_idx, rep, 1, e_idx))
+            row[1] = _gamma_rates(counts[r], national.a, national.b, pops,
+                                  master.child(scenario_idx, rep, 2, e_idx))
+            row[2] = _gamma_rates(counts[r], a_min[lane], b_min[lane], pops,
+                                  master.child(scenario_idx, rep, 3, e_idx))
+
+    # scored by row reductions, each row as its own vector would be
+    estimates = estimates.reshape(-1, pops.size)
     urban, rural, region_a, region_b = (_weighted_mean(estimates, group)
-                                        for group in groups)
-    return np.array([rmse(estimates, truth.rates), urban, rural, region_a / region_b])
+                                        for group in case.groups)
+    metrics = np.array([rmse(estimates, truth.rates), urban, rural, region_a / region_b])
+    return metrics.reshape(4, len(reps), -1).transpose(0, 2, 1).copy()
 
 
 # (config, cases) inside a forked worker; set by _install_study, never in
@@ -359,8 +433,8 @@ def _install_study(parent_pid: int, config: StudyConfig, cases: list) -> None:
             os._exit(1)
 
 
-def _replicate_task(task: tuple[int, int]) -> np.ndarray:
-    return _replicate_metrics(*_WORKER_STUDY, task)
+def _block_task(block: tuple[int, int, int]) -> np.ndarray:
+    return _block_metrics(*_WORKER_STUDY, block)
 
 
 def _usable_cpus() -> int:
@@ -369,18 +443,45 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_replicates(config: StudyConfig, cases: list,
-                    tasks: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Per-replicate metrics for ``tasks``, in task order. More than one
-    worker means forked processes, never more than there are tasks or
-    usable CPUs, and only from a single-threaded process."""
-    n_procs = 1
+def _worker_count(config: StudyConfig) -> int:
+    """Processes to run the study in. More than one means forked workers,
+    never more than there are usable CPUs, and only from a single-threaded
+    process."""
     if config.n_workers > 1 and threading.active_count() == 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            n_procs = min(config.n_workers, len(tasks), _usable_cpus())
+            return min(config.n_workers, _usable_cpus())
+    return 1
+
+
+# cap on a block's replicates x budgets x groups, the size of each of its
+# lane matrices: 64 kB of floats keeps the study's peak memory where the
+# per-replicate study had it (8 MB blocks added 5 MB to a 56 MB process),
+# at no cost in speed on the default study
+_BLOCK_CELLS = 1 << 13
+
+
+def _replicate_blocks(n_scenarios: int, n_replicates: int, lane_cells: int,
+                      n_procs: int) -> list[tuple[int, int, int]]:
+    """(scenario, start, stop) blocks covering every replicate once, in
+    order. Each scenario is split into enough blocks that every one of
+    ``n_procs`` processes gets one, and into more where a block would pass
+    _BLOCK_CELLS; ``lane_cells`` is budgets x groups, one replicate's
+    share."""
+    per_scenario = -(-n_procs // n_scenarios)
+    size = min(-(-n_replicates // per_scenario), max(1, _BLOCK_CELLS // lane_cells))
+    return [(s, start, min(start + size, n_replicates))
+            for s in range(n_scenarios) for start in range(0, n_replicates, size)]
+
+
+def _map_blocks(config: StudyConfig, cases: list[_Case], blocks: list[tuple[int, int, int]],
+                n_procs: int) -> list[np.ndarray]:
+    """Metrics of each block, in block order, from ``n_procs`` processes at
+    most; more than one means a pool of forked workers."""
+    n_procs = min(n_procs, len(blocks))
     if n_procs == 1:
-        return [_replicate_metrics(config, cases, task) for task in tasks]
+        return [_block_metrics(config, cases, block) for block in blocks]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     # fork, not spawn: a spawned worker re-imports numpy, scipy and this
     # package (about 0.5 s each), and the study state would be pickled to it.
@@ -390,10 +491,8 @@ def _map_replicates(config: StudyConfig, cases: list,
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_install_study,
                              initargs=(os.getpid(), config, cases)) as pool:
-        # a few chunks per worker balance the load with few round trips
-        chunksize = max(1, len(tasks) // (4 * n_procs))
         try:
-            return list(pool.map(_replicate_task, tasks, chunksize=chunksize))
+            return list(pool.map(_block_task, blocks))
         except KeyboardInterrupt:
             # a group SIGINT reaches the workers too, and one interrupted
             # inside the call queue's lock leaves it held, so the executor's
@@ -406,7 +505,7 @@ def _map_replicates(config: StudyConfig, cases: list,
 def run_study(config: StudyConfig) -> list[StudyResult]:
     """Run every scenario and return one result row per
     (scenario, method, epsilon). Deterministic for a fixed config seed,
-    independent of n_workers. With n_workers > 1 the replicates run in
+    independent of n_workers. With n_workers > 1 the replicate blocks run in
     forked processes only if the caller is single-threaded (one Python
     thread); otherwise they run serially, with the same results."""
     if config.ingested is not None:
@@ -416,9 +515,6 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         truths = [(scenario.label, gen_truth(scenario), config.y_total)
                   for scenario in _scenario_objects(config)]
 
-    # per scenario: (label, truth, y_total, the MD and PG-national priors by
-    # (method, epsilon index), the urban, rural, region A and B score groups,
-    # the true state rates)
     cases = []
     for scenario_idx, (label, truth, y_total) in enumerate(truths):
         pops = truth.populations
@@ -437,24 +533,26 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         # the regions come from two distinct states, so they are disjoint
         groups = tuple(_score_group(pops, idx) for idx in
                        (truth.urban, ~truth.urban, truth.region_a, truth.region_b))
-        true_state_rates = _true_state_rates(truth, _group_states(ref_data)[0])
-        cases.append((label, truth, y_total, priors, groups, true_state_rates))
+        state_index, _, state_pops, _ = _group_states(ref_data)
+        cases.append(_Case(label, truth, y_total, priors, groups, state_index, state_pops,
+                           _true_state_rates(truth, state_index)))
 
-    n_reps = config.n_replicates
-    tasks = [(s, rep) for s in range(len(cases)) for rep in range(n_reps)]
-    per_task = _map_replicates(config, cases, tasks)
+    n_procs = _worker_count(config)
+    blocks = _replicate_blocks(len(cases), config.n_replicates,
+                               len(config.epsilons) * cases[0].truth.populations.size, n_procs)
+    per_block = _map_blocks(config, cases, blocks, n_procs)
 
     columns = [(eps, method) for eps in config.epsilons for method in _METHODS]
     results = []
-    for scenario_idx, (label, *_) in enumerate(cases):
+    for scenario_idx, case in enumerate(cases):
         # (metric, column, replicate): every series is one contiguous row
-        series = np.stack(per_task[scenario_idx * n_reps:(scenario_idx + 1) * n_reps],
-                          axis=-1)
+        series = np.concatenate([metrics for (s, _, _), metrics in zip(blocks, per_block)
+                                 if s == scenario_idx], axis=-1)
         means = series.mean(axis=-1)
         lo, hi = np.percentile(series[0], [2.5, 97.5], axis=-1)
         for col, (epsilon, method) in enumerate(columns):
             results.append(StudyResult(
-                scenario=label,
+                scenario=case.label,
                 method=method,
                 epsilon=float(epsilon),
                 rmse_mean=float(means[0, col]),

@@ -201,6 +201,27 @@ class TestSynthesizeCommand:
         assert run_cli(argv) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("method,extra,noise", [
+        ("md", [], 0.0),
+        ("pg-multinomial", [], 0.0),
+        ("pg-multinomial", ["--target-rule", "state", "--state-noise-epsilon", "0.5"], 0.5),
+        # national targets draw no noise, so the flag alone costs nothing
+        ("pg-multinomial", ["--state-noise-epsilon", "0.5"], 0.0),
+    ], ids=["md", "pg-national", "pg-state-noise", "pg-national-noise-flag"])
+    def test_provenance_states_the_file_budget(self, tmp_path, method, extra, noise):
+        src = tmp_path / "counts.csv"
+        src.write_text(RELEASE_CSV)
+        out = tmp_path / "release.csv"
+        assert run_cli(["synthesize", "--method", method, "--epsilon", "1",
+                        "--input", str(src), "--m", "4", "--output", str(out), *extra]) == 0
+        result = json.loads(out.with_suffix(".provenance.json").read_text())["result"]
+        # epsilon_certified stays the budget of one release
+        assert 0 < result["epsilon_certified"] <= 1.0
+        assert result["epsilon_file"] == 4 * result["epsilon_certified"] + 2 * noise
+        rule = result["epsilon_file_rule"]
+        assert rule.endswith("by basic sequential composition (Dwork & Roth 2014, Section 3.5)")
+        assert ("+ 2 * state_noise_epsilon" in rule) == (noise > 0)
+
     @pytest.mark.parametrize("method", ["pg-exact2", "pg-multinomial"])
     def test_state_targets_without_noise_are_refused(self, tmp_path, capsys, method):
         # raw state rates leak the confidential state totals: fail closed

@@ -14,6 +14,7 @@ from dpcounts.poisson_gamma import (
     PgCalibration,
     SynthesisStrategy,
     TargetRule,
+    _calibrate_lanes,
     _certified_epsilon,
     _penalties,
     calibrate_pg,
@@ -386,6 +387,27 @@ class TestCalibrateBudgets:
         batch = calibrate_pg_budgets(epsilons, data, rule=rule)
         for eps, cal in zip(epsilons, batch):
             assert _same_calibration(cal, calibrate_pg(eps, data, rule=rule)), eps
+
+    def test_lanes_with_their_own_targets_match_one_budget_calls(self):
+        # the simulation study's form: every lane has its own budget and its
+        # own target row. At total 1 a large budget starts the bracket at a
+        # tiny strength, where the penalty is large, so the bracket doubles
+        # several times; the penalty-free root is also where a small budget
+        # starts, and there it doubles at most about once.
+        data = CountDataset.from_counts([0, 1, 0], [2.0, 5.0, 80.0])
+        rows = np.array([[0.01, 0.02, 0.004], [0.5, 0.02, 0.004], [1.0, 1.0, 1.0]])
+        epsilons = [8.0, 0.05, 8.0, 1.0, 0.05, 3.0, 8.0]
+        targets = rows[np.arange(len(epsilons)) % 3]
+        a_min, nu, r, evaluations = _calibrate_lanes(epsilons, data.populations, data.total,
+                                                     targets)
+        for k, eps in enumerate(epsilons):
+            want = calibrate_pg(eps, data, target_rates=targets[k], rule=TargetRule.CUSTOM)
+            assert a_min[k].tolist() == want.a_min.tolist(), k
+            assert nu[k].tolist() == want.nu.tolist(), k
+            assert r[k].tolist() == want.r.tolist(), k
+            assert evaluations[k] == want.iterations, k
+        # a root past 4x the start means the bracket doubled at least 3 times
+        assert a_min[0, 0] > 4 * data.total / math.expm1(8.0)
 
     def test_one_infeasible_lane_raises(self, monkeypatch):
         # past a strength threshold the penalty is forced past every budget,

@@ -197,15 +197,12 @@ class TestRunStudy:
 
     @staticmethod
     def _fail_state_calibrations(monkeypatch):
-        # state-target calibrations run per replicate, i.e. inside workers;
-        # the national ones run in the parent and are left alone
-        calibrate_pg_budgets = simstudy.calibrate_pg_budgets
-
-        def failing(epsilons, data, target_rates=None, rule=None):
-            if rule is simstudy.TargetRule.CUSTOM:
-                raise InfeasibleBudgetError(f"raised in process {os.getpid()}")
-            return calibrate_pg_budgets(epsilons, data, target_rates=target_rates, rule=rule)
-        monkeypatch.setattr(simstudy, "calibrate_pg_budgets", failing)
+        # state-target calibrations run in the replicate blocks, i.e. inside
+        # workers; the national ones run in the parent through
+        # calibrate_pg_budgets, which does not use this binding
+        def failing(*args):
+            raise InfeasibleBudgetError(f"raised in process {os.getpid()}")
+        monkeypatch.setattr(simstudy, "_calibrate_lanes", failing)
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         self._fail_state_calibrations(monkeypatch)
@@ -237,7 +234,10 @@ class TestRunStudy:
         cpus = len(os.sched_getaffinity(0))
         serial = run_study(self._config(n_workers=1))
         assert run_study(self._config(n_workers=1000)) == serial
-        assert sizes == ([min(cpus, 2 * 6)] if cpus > 1 else [])
+        if cpus > 1:
+            assert len(sizes) == 1 and 1 < sizes[0] <= min(cpus, 2 * 6)
+        else:
+            assert sizes == []
 
     def test_threaded_caller_runs_serially(self, monkeypatch):
         sizes = self._record_pool_sizes(monkeypatch)
@@ -300,6 +300,50 @@ class TestRunStudy:
         with pytest.raises(UsageError):
             truth_from_dataset(data)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block_reps", [None, 1, 3], ids=["default", "cap-1", "cap-3"])
+    def test_results_do_not_depend_on_the_block_split(self, workers, block_reps,
+                                                      monkeypatch):
+        # 7 replicates, which neither 3-replicate blocks nor a split in two divide
+        config = self._config(n_replicates=7)
+        reference = run_study(config)
+        if block_reps is not None:
+            # caps a block at block_reps replicates of 2 budgets x 24 groups
+            monkeypatch.setattr(simstudy, "_BLOCK_CELLS", block_reps * 2 * 24)
+        assert run_study(replace(config, n_workers=workers)) == reference
+
+    @pytest.mark.parametrize("n_scenarios,n_reps,lane_cells,n_procs", [
+        (4, 8, 1000, 1), (4, 8, 1000, 2), (4, 50, 1000, 1), (1, 7, 10, 3),
+        (2, 6, 10, 16), (3, 5, 1 << 14, 2)])
+    def test_blocks_cover_every_replicate_once(self, n_scenarios, n_reps, lane_cells,
+                                               n_procs):
+        blocks = simstudy._replicate_blocks(n_scenarios, n_reps, lane_cells, n_procs)
+        assert [(s, rep) for s, start, stop in blocks for rep in range(start, stop)] == [
+            (s, rep) for s in range(n_scenarios) for rep in range(n_reps)]
+        # every process gets a block while there are replicates to share
+        assert len(blocks) >= min(n_procs, n_scenarios * n_reps)
+        assert all((stop - start) * lane_cells <= simstudy._BLOCK_CELLS or stop - start == 1
+                   for _, start, stop in blocks)
+        if n_procs == 1 and n_reps * lane_cells <= simstudy._BLOCK_CELLS:
+            assert len(blocks) == n_scenarios
+
+    @staticmethod
+    def _run_by_blocks(monkeypatch, config):
+        """run_study's results, with its replicate blocks run serially through
+        the block function, and each scenario's (metric, column, replicate)
+        series of the values the blocks returned."""
+        parts = {}
+
+        def serial(config, cases, blocks, n_procs):
+            out = [simstudy._block_metrics(config, cases, block) for block in blocks]
+            for (s_idx, _, _), metrics in zip(blocks, out):
+                parts.setdefault(s_idx, []).append(metrics)
+            return out
+        monkeypatch.setattr(simstudy, "_map_blocks", serial)
+        results = run_study(config)
+        return results, {s_idx: np.concatenate(blocks, axis=-1)
+                         for s_idx, blocks in parts.items()}
+
     @pytest.mark.parametrize("from_truth", [False, True], ids=["data", "truth"])
     def test_replicate_metrics_match_per_replicate_reference(self, from_truth,
                                                              monkeypatch):
@@ -308,14 +352,9 @@ class TestRunStudy:
         config = self._config(n_replicates=3, state_targets_from_truth=from_truth,
                               scenarios=((PopMode.HETEROGENEOUS, RateMode.HETEROGENEOUS),
                                          (PopMode.UNIFORM, RateMode.UNIFORM)))
-        out = []
-
-        def serial(config, cases, tasks):
-            out.extend(simstudy._replicate_metrics(config, cases, task) for task in tasks)
-            return list(out)
-        monkeypatch.setattr(simstudy, "_map_replicates", serial)
-        run_study(config)
-        assert len(out) == 2 * config.n_replicates
+        _, series = self._run_by_blocks(monkeypatch, config)
+        assert [metrics.shape for metrics in series.values()] == [
+            (4, 3 * len(config.epsilons), config.n_replicates)] * 2
         master = RngStream(config.seed)
 
         def weighted_mean(values, pops, mask):
@@ -331,7 +370,7 @@ class TestRunStudy:
             for state in np.unique(ids):
                 true_state[ids == state] = weighted_mean(truth.rates, pops, ids == state)
             for rep in range(config.n_replicates):
-                got = out[s_idx * config.n_replicates + rep]
+                got = series[s_idx][:, :, rep]
                 data = gen_replicate(pops, truth.rates, config.y_total,
                                      master.child(s_idx, rep, 0), state_ids=truth.state_ids)
                 targets = true_state if from_truth else state_target_rates(data)
@@ -360,20 +399,14 @@ class TestRunStudy:
         # reference: every field is a 1-d mean or percentile over that
         # series' per-replicate values, in replicate order
         config = self._config(n_replicates=13)
-        out = []
-
-        def serial(config, cases, tasks):
-            out.extend(simstudy._replicate_metrics(config, cases, task) for task in tasks)
-            return list(out)
-        monkeypatch.setattr(simstudy, "_map_replicates", serial)
-        results = run_study(config)
+        results, series = self._run_by_blocks(monkeypatch, config)
         n_reps, n_cols = config.n_replicates, 3 * len(config.epsilons)
         assert len(results) == 2 * n_cols
         for k, row in enumerate(results):
             s_idx, col = divmod(k, n_cols)
-            per_rep = out[s_idx * n_reps:(s_idx + 1) * n_reps]
             rmses, urban, rural, contrast = (
-                np.array([rep_out[metric, col] for rep_out in per_rep]) for metric in range(4))
+                np.array([series[s_idx][metric, col, rep] for rep in range(n_reps)])
+                for metric in range(4))
             lo, hi = np.percentile(rmses, [2.5, 97.5])
             assert (row.method, row.epsilon) == (simstudy._METHODS[col % 3],
                                                  config.epsilons[col // 3])
@@ -417,7 +450,7 @@ class TestWorkerTeardown:
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = [sys.executable, "-m", "dpcounts.cli", "simulate",
                 "--scenarios", "uniform-uniform", "--n-groups", "50",
-                "--y-total", "500", "--replicates", "2000", "--epsilons", "1",
+                "--y-total", "500", "--replicates", "8000", "--epsilons", "1",
                 "--workers", "2", "--output", str(tmp_path / "study.csv")]
         # The child's stderr is kept, so a run that exits 0 shows why. Its
         # SIGINT starts at the default, as for a job at a terminal: a test run
