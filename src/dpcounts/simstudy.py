@@ -464,14 +464,15 @@ _BLOCK_CELLS = 1 << 13
 def _replicate_blocks(n_scenarios: int, n_replicates: int, lane_cells: int,
                       n_procs: int) -> list[tuple[int, int, int]]:
     """(scenario, start, stop) blocks covering every replicate once, in
-    order. Each scenario is split into enough blocks that every one of
-    ``n_procs`` processes gets one, and into more where a block would pass
-    _BLOCK_CELLS; ``lane_cells`` is budgets x groups, one replicate's
-    share."""
-    per_scenario = -(-n_procs // n_scenarios)
-    size = min(-(-n_replicates // per_scenario), max(1, _BLOCK_CELLS // lane_cells))
-    return [(s, start, min(start + size, n_replicates))
-            for s in range(n_scenarios) for start in range(0, n_replicates, size)]
+    order. Each scenario is split into the same number of balanced blocks:
+    enough that every one of ``n_procs`` processes gets one while there are
+    replicates to share, and more where a block would pass _BLOCK_CELLS;
+    ``lane_cells`` is budgets x groups, one replicate's share."""
+    max_size = max(1, _BLOCK_CELLS // lane_cells)
+    per_scenario = min(n_replicates, max(-(-n_procs // n_scenarios),
+                                         -(-n_replicates // max_size)))
+    return [(s, n_replicates * i // per_scenario, n_replicates * (i + 1) // per_scenario)
+            for s in range(n_scenarios) for i in range(per_scenario)]
 
 
 def _map_blocks(config: StudyConfig, cases: list[_Case], blocks: list[tuple[int, int, int]],

@@ -234,10 +234,7 @@ class TestRunStudy:
         cpus = len(os.sched_getaffinity(0))
         serial = run_study(self._config(n_workers=1))
         assert run_study(self._config(n_workers=1000)) == serial
-        if cpus > 1:
-            assert len(sizes) == 1 and 1 < sizes[0] <= min(cpus, 2 * 6)
-        else:
-            assert sizes == []
+        assert sizes == ([min(cpus, 2 * 6)] if cpus > 1 else [])
 
     def test_threaded_caller_runs_serially(self, monkeypatch):
         sizes = self._record_pool_sizes(monkeypatch)
@@ -314,7 +311,8 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("n_scenarios,n_reps,lane_cells,n_procs", [
         (4, 8, 1000, 1), (4, 8, 1000, 2), (4, 50, 1000, 1), (1, 7, 10, 3),
-        (2, 6, 10, 16), (3, 5, 1 << 14, 2)])
+        (2, 6, 10, 16), (3, 5, 1 << 14, 2), (1, 10, 10, 8), (2, 6, 10, 8),
+        (1, 200, 1000, 3)])
     def test_blocks_cover_every_replicate_once(self, n_scenarios, n_reps, lane_cells,
                                                n_procs):
         blocks = simstudy._replicate_blocks(n_scenarios, n_reps, lane_cells, n_procs)
@@ -322,6 +320,8 @@ class TestRunStudy:
             (s, rep) for s in range(n_scenarios) for rep in range(n_reps)]
         # every process gets a block while there are replicates to share
         assert len(blocks) >= min(n_procs, n_scenarios * n_reps)
+        assert max(stop - start for _, start, stop in blocks) - min(
+            stop - start for _, start, stop in blocks) <= 1
         assert all((stop - start) * lane_cells <= simstudy._BLOCK_CELLS or stop - start == 1
                    for _, start, stop in blocks)
         if n_procs == 1 and n_reps * lane_cells <= simstudy._BLOCK_CELLS:
