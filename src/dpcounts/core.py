@@ -24,14 +24,21 @@ _MASK64 = (1 << 64) - 1
 _FLOOR = float(np.finfo(np.float64).tiny)
 
 
-def _mix64(value: int, salt: int) -> int:
-    # splitmix64 finalizer; decorrelates derived stream ids
-    x = (value + 0x9E3779B97F4A7C15 * (salt + 1)) & _MASK64
+def _mix64(value, salt: int):
+    # splitmix64 finalizer; decorrelates derived stream ids. ``value`` is a
+    # Python int or a uint64 array of at least one dimension, where the
+    # arithmetic wraps silently (on numpy scalars it would warn)
+    x = (value + ((0x9E3779B97F4A7C15 * (salt + 1)) & _MASK64)) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
+
+
+# a Philox counter and its buffer of four 64-bit words, both zero at the
+# start of a stream; the buffer is empty when its position is its length
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -58,6 +65,12 @@ class RngStream:
     synthesis workers can be fanned out in any order. A stream is owned by
     exactly one consumer at a time; derive independent substreams with
     :meth:`child` instead of sharing.
+
+    One generator holds one stream at a time. :meth:`rekey` moves this
+    object, generator included, to the start of another stream of the same
+    seed, so a loop over many streams can draw them all through one Philox
+    instead of building a generator per stream; :meth:`child_ids` gives the
+    stream ids of many children at once.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -77,6 +90,32 @@ class RngStream:
             sid = _mix64(sid ^ (int(index) & _MASK64), position)
         return RngStream(self.seed, sid)
 
+    def child_ids(self, *indices) -> np.ndarray:
+        """The stream ids of ``child(*i)`` for every index tuple i of the
+        broadcast integer index arrays, as a uint64 array of their broadcast
+        shape. A negative index wraps modulo 2**64, as in :meth:`child`."""
+        arrays = [np.asarray(index) for index in indices]
+        if any(arr.dtype.kind not in "iu" for arr in arrays):
+            raise UsageError("stream indices must be integer arrays")
+        shape = np.broadcast_shapes(*(arr.shape for arr in arrays))
+        sid = np.full(shape, self.stream_id, dtype=np.uint64).reshape(-1)
+        for position, arr in enumerate(arrays):
+            index = np.broadcast_to(arr, shape).astype(np.uint64).reshape(-1)
+            sid = _mix64(sid ^ index, position)
+        return sid.reshape(shape)
+
+    def rekey(self, stream_id: int) -> None:
+        """Make this the stream (seed, stream_id) from its start: Philox key
+        (seed, stream_id), counter 0 and an empty buffer, so the generator
+        draws what a fresh ``RngStream(seed, stream_id)`` would."""
+        self.stream_id = int(stream_id) & _MASK64
+        self._generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _PHILOX_ZEROS, "key": (self.seed, self.stream_id)},
+            "buffer": _PHILOX_ZEROS, "buffer_pos": _PHILOX_ZEROS.size,
+            "has_uint32": 0, "uinteger": 0,
+        }
+
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
@@ -95,6 +134,14 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy, so freezing a field never reaches the caller's
+    array."""
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_count_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
@@ -104,7 +151,7 @@ def _as_count_vector(values, name: str) -> np.ndarray:
         if not (np.asarray(arr, dtype=np.float64) == rounded).all():
             raise DomainError(f"{name} must hold integers")
         arr = rounded
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64)  # always a copy, so callers may freeze it
     if (arr < 0).any():
         raise DomainError(f"{name} must be non-negative")
     return arr
@@ -146,9 +193,8 @@ class CountDataset:
         if int(self.total) != int(counts.sum()):
             raise DomainError("total must equal the sum of counts")
         counts.setflags(write=False)
-        populations.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "populations", populations)
+        object.__setattr__(self, "populations", _frozen(populations))
         object.__setattr__(self, "group_ids", group_ids)
         object.__setattr__(self, "state_ids", state_ids)
         object.__setattr__(self, "total", int(self.total))
@@ -216,8 +262,7 @@ class PriorSpec:
             alpha = _as_float_vector(self.alpha, "alpha")
             if (alpha <= 0).any():
                 raise DomainError("alpha must be positive")
-            alpha.setflags(write=False)
-            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "alpha", _frozen(alpha))
         elif self.mode is PriorModel.POISSON_GAMMA:
             if self.a is None or self.b is None:
                 raise DomainError("Poisson-gamma prior requires a and b")
@@ -226,18 +271,15 @@ class PriorSpec:
             if a.size != b.size:
                 raise DomainError("a and b must have equal length")
             _check_gamma_prior(a, b)
-            a.setflags(write=False)
-            b.setflags(write=False)
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "a", _frozen(a))
+            object.__setattr__(self, "b", _frozen(b))
             if self.target_rates is not None:
                 rates = _as_float_vector(self.target_rates, "target_rates")
                 if (rates <= 0).any():
                     raise DomainError("target_rates must be positive")
                 if rates.size != a.size or not np.array_equal(b, a / rates):
                     raise DomainError("b must equal a / target_rates exactly")
-                rates.setflags(write=False)
-                object.__setattr__(self, "target_rates", rates)
+                object.__setattr__(self, "target_rates", _frozen(rates))
         else:
             raise DomainError(f"unknown prior mode {self.mode!r}")
 
@@ -283,17 +325,25 @@ class SyntheticDataset:
         object.__setattr__(self, "total", int(self.total))
 
 
+def _check_gamma_args(shape, rate) -> None:
+    if not ((shape > 0).all() and (rate > 0).all()):
+        raise DomainError("gamma shape and rate must be positive")
+
+
 def sample_gamma(shape, rate, rng: RngStream, size=None):
     """Draw from Gamma(shape, rate) with mean shape/rate.
 
     Valid for every shape > 0; draws are floored at the smallest positive
-    normal float so the open support (0, inf) is preserved.
+    normal float so the open support (0, inf) is preserved. numpy's
+    ``gamma(shape, scale)`` is ``scale * standard_gamma(shape)``, so this
+    draws exactly its values, through the one-parameter sampler.
     """
     shape_arr = np.asarray(shape, dtype=np.float64)
     rate_arr = np.asarray(rate, dtype=np.float64)
-    if not ((shape_arr > 0).all() and (rate_arr > 0).all()):
-        raise DomainError("gamma shape and rate must be positive")
-    draws = rng.generator.gamma(shape_arr, 1.0 / rate_arr, size=size)
+    _check_gamma_args(shape_arr, rate_arr)
+    if size is None:
+        size = np.broadcast_shapes(shape_arr.shape, rate_arr.shape)
+    draws = rng.generator.standard_gamma(shape_arr, size=size) * (1.0 / rate_arr)
     draws = np.maximum(draws, _FLOOR)
     if np.ndim(draws) == 0:
         return float(draws)
@@ -310,7 +360,7 @@ def sample_dirichlet(alphas, rng: RngStream) -> np.ndarray:
     alphas = _as_float_vector(alphas, "alphas")
     if (alphas <= 0).any():
         raise DomainError("Dirichlet parameters must be positive")
-    raw = np.maximum(rng.generator.gamma(alphas), _FLOOR)
+    raw = np.maximum(rng.generator.standard_gamma(alphas), _FLOOR)
     return raw / raw.sum()
 
 

@@ -21,8 +21,14 @@ per-replicate dataset or prior objects:
   are sums of integers, so they equal state_target_rates' values exactly;
 - calibration: one lockstep solve over every (replicate, budget) lane, with
   the calibration's and the prior's checks run on every lane at once;
-- sampling and scoring: each (replicate, method, budget) draws on its own
-  stream into one row, and the rows are scored by row reductions into one
+- sampling: every (replicate, budget, method) row's posterior shapes, and
+  the PG rows' rates, are built as whole arrays and checked once. Each row
+  still draws on its own stream (scenario, replicate, 1 + method, budget):
+  one generator is re-keyed to that stream and fills the row with numpy's
+  one-parameter gamma sampler, the same values its two-parameter gamma
+  draws. The gamma scaling, the floor and the Dirichlet normalisation then
+  run once on the whole block;
+- scoring: the rows are scored by row reductions into one
   (4, 3 * n_budgets, replicates) array: rMSE, urban rate, rural rate and
   region contrast, columns (budget, method) with the method varying fastest.
 
@@ -53,8 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (CountDataset, PriorModel, PriorSpec, RngStream, _check_gamma_prior,
-                   sample_dirichlet, sample_gamma, sample_multinomial)
+from .core import (_FLOOR, CountDataset, PriorModel, PriorSpec, RngStream, _check_gamma_args,
+                   _check_gamma_prior, sample_dirichlet, sample_gamma, sample_multinomial)
 from .dirichlet_mult import calibrate_md
 from .errors import DomainError, UsageError
 # calibrate_pg is not called here, but stays bound: perfbench's tracer wraps
@@ -246,18 +252,10 @@ def rate_estimates(method: SynthMethod, data: CountDataset, prior: PriorSpec,
     if method is SynthMethod.MD:
         if prior.mode is not PriorModel.MULTINOMIAL_DIRICHLET:
             raise UsageError("MD estimates need a multinomial-Dirichlet prior")
-        return _dirichlet_rates(data.counts, prior.alpha, data.total, data.populations, rng)
+        return sample_dirichlet(data.counts + prior.alpha, rng) * data.total / data.populations
     if prior.mode is not PriorModel.POISSON_GAMMA:
         raise UsageError("PG estimates need a Poisson-gamma prior")
-    return _gamma_rates(data.counts, prior.a, prior.b, data.populations, rng)
-
-
-def _dirichlet_rates(counts, alpha, total: int, populations, rng: RngStream) -> np.ndarray:
-    return sample_dirichlet(counts + alpha, rng) * total / populations
-
-
-def _gamma_rates(counts, a, b, populations, rng: RngStream) -> np.ndarray:
-    return np.asarray(sample_gamma(counts + a, populations + b, rng))
+    return np.asarray(sample_gamma(data.counts + prior.a, data.populations + prior.b, rng))
 
 
 def region_contrast(estimates, group_a, group_b, populations) -> float:
@@ -343,7 +341,8 @@ class _Case(NamedTuple):
     label: str
     truth: GroundTruth
     y_total: int
-    priors: dict  # the MD and PG-national priors by (method, epsilon index)
+    prior_shapes: np.ndarray  # (budget, 2, group): MD alpha, PG-national a
+    national_b: np.ndarray  # (budget, group)
     groups: tuple  # the urban, rural, region A and B score groups
     state_index: np.ndarray  # per group
     state_pops: np.ndarray  # per state, in state-index order
@@ -359,10 +358,10 @@ def _block_metrics(config: StudyConfig, cases: list[_Case],
     streams, so a replicate's values do not depend on the block holding it."""
     scenario_idx, start, stop = block
     case = cases[scenario_idx]
-    truth, y_total, priors = case.truth, case.y_total, case.priors
+    truth, y_total = case.truth, case.y_total
     pops = truth.populations
     master = RngStream(config.seed)
-    reps = range(start, stop)
+    reps = np.arange(start, stop)
     counts = np.array([_draw_counts(pops, truth.rates, y_total,
                                     master.child(scenario_idx, rep, 0)) for rep in reps])
 
@@ -388,23 +387,40 @@ def _block_metrics(config: StudyConfig, cases: list[_Case],
     b_min = a_min / lane_targets
     _check_gamma_prior(a_min, b_min)
 
-    # (replicate, budget, method) rows; method m draws on stream
-    # (scenario, replicate, 1 + m, budget), in _METHODS order
-    estimates = np.empty((len(reps), len(epsilons), len(_METHODS), pops.size))
-    for r, rep in enumerate(reps):
-        for e_idx in range(len(epsilons)):
-            lane = r * len(epsilons) + e_idx
-            md, national = priors[SynthMethod.MD, e_idx], priors[SynthMethod.PG_NATIONAL, e_idx]
-            row = estimates[r, e_idx]
-            row[0] = _dirichlet_rates(counts[r], md.alpha, y_total, pops,
-                                      master.child(scenario_idx, rep, 1, e_idx))
-            row[1] = _gamma_rates(counts[r], national.a, national.b, pops,
-                                  master.child(scenario_idx, rep, 2, e_idx))
-            row[2] = _gamma_rates(counts[r], a_min[lane], b_min[lane], pops,
-                                  master.child(scenario_idx, rep, 3, e_idx))
+    # (replicate, budget, method) rows of posterior shapes, and the rates of
+    # the two PG methods; method m draws on stream (scenario, replicate,
+    # 1 + m, budget), in _METHODS order
+    lanes = (len(reps), len(epsilons))
+    shapes = np.empty(lanes + (len(_METHODS), pops.size))
+    shapes[:, :, :2] = counts[:, None, None] + case.prior_shapes
+    shapes[:, :, 2] = counts[:, None] + a_min.reshape(lanes + (-1,))
+    rates = np.empty(lanes + (2, pops.size))
+    rates[:, :, 0] = pops + case.national_b
+    rates[:, :, 1] = pops + b_min.reshape(lanes + (-1,))
+    _check_gamma_args(shapes, rates)
+    stream_ids = master.child_ids(scenario_idx, reps[:, None, None], 1 + np.arange(len(_METHODS)),
+                                  np.arange(len(epsilons))[:, None])
+    # one generator, re-keyed to each row's stream, fills the row with
+    # one-parameter gamma draws: numpy's gamma(shape, scale) and the
+    # Dirichlet's gamma(alphas) are scale * standard_gamma(shape), so the
+    # scaling, the floor and the Dirichlet normalisation run on whole arrays
+    draws = np.empty_like(shapes)
+    lane_stream = RngStream(config.seed)
+    gen = lane_stream.generator
+    for stream_id, shape_row, row in zip(stream_ids.ravel().tolist(),
+                                         shapes.reshape(-1, pops.size),
+                                         draws.reshape(-1, pops.size)):
+        lane_stream.rekey(stream_id)
+        gen.standard_gamma(shape_row, out=row)
+    # the draws become the rate estimates in place
+    weights = np.maximum(draws[:, :, 0], _FLOOR)
+    draws[:, :, 0] = weights / weights.sum(axis=-1, keepdims=True) * y_total / pops
+    gamma_rows = draws[:, :, 1:]
+    gamma_rows *= 1.0 / rates
+    np.maximum(gamma_rows, _FLOOR, out=gamma_rows)
 
     # scored by row reductions, each row as its own vector would be
-    estimates = estimates.reshape(-1, pops.size)
+    estimates = draws.reshape(-1, pops.size)
     urban, rural, region_a, region_b = (_weighted_mean(estimates, group)
                                         for group in case.groups)
     metrics = np.array([rmse(estimates, truth.rates), urban, rural, region_a / region_b])
@@ -524,19 +540,18 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         ref_data = gen_replicate(pops, truth.rates, y_total,
                                  RngStream(config.seed).child(scenario_idx, 0, 0),
                                  state_ids=truth.state_ids)
-        national = calibrate_pg_budgets(config.epsilons, ref_data,
-                                        rule=TargetRule.DEFAULT_NATIONAL)
-        priors = {}
-        for e_idx, eps in enumerate(config.epsilons):
-            alpha = np.full(pops.size, calibrate_md(eps, y_total).alpha_min)
-            priors[SynthMethod.MD, e_idx] = PriorSpec.multinomial_dirichlet(alpha)
-            priors[SynthMethod.PG_NATIONAL, e_idx] = national[e_idx].prior()
+        national = [cal.prior() for cal in calibrate_pg_budgets(
+            config.epsilons, ref_data, rule=TargetRule.DEFAULT_NATIONAL)]
+        md = [PriorSpec.multinomial_dirichlet(np.full(pops.size, calibrate_md(eps, y_total).alpha_min))
+              for eps in config.epsilons]
+        prior_shapes = np.array([[m.alpha, n.a] for m, n in zip(md, national)])
         # the regions come from two distinct states, so they are disjoint
         groups = tuple(_score_group(pops, idx) for idx in
                        (truth.urban, ~truth.urban, truth.region_a, truth.region_b))
         state_index, _, state_pops, _ = _group_states(ref_data)
-        cases.append(_Case(label, truth, y_total, priors, groups, state_index, state_pops,
-                           _true_state_rates(truth, state_index)))
+        cases.append(_Case(label, truth, y_total, prior_shapes,
+                           np.array([n.b for n in national]), groups, state_index,
+                           state_pops, _true_state_rates(truth, state_index)))
 
     n_procs = _worker_count(config)
     blocks = _replicate_blocks(len(cases), config.n_replicates,

@@ -51,6 +51,69 @@ class TestRngStream:
         assert np.array_equal(gen.random(8), reference.random(8))
         assert np.array_equal(gen.integers(0, 2**62, size=5), reference.integers(0, 2**62, size=5))
 
+    # (seed, stream_id, indices, child stream id): every derived stream of
+    # every release and study replicate hangs on these values
+    PINNED_CHILD_IDS = [
+        (20260808, 0, (0,), 16294208416658607535),
+        (20260808, 0, (3, 17, 2, 4), 5765805611230769646),
+        (7, 45, (1, -1), 1739562867634381195),
+        (7, 45, (2**63, 5), 9802365723590866964),
+        (0, 2**64 - 1, (-(2**40), 2**64 - 1, 0), 7779739392213334406),
+        (123, 9, (1, 2, 3), 18023285460572767132),
+        (1, 2, (), 2),
+    ]
+
+    @pytest.mark.parametrize("seed,stream_id,indices,expected", PINNED_CHILD_IDS)
+    def test_child_ids_are_pinned(self, seed, stream_id, indices, expected):
+        root = RngStream(seed, stream_id)
+        assert root.child(*indices).stream_id == expected
+        ids = root.child_ids(*indices)
+        assert ids.dtype == np.uint64 and ids.shape == ()
+        assert int(ids) == expected
+
+    def test_child_ids_broadcast_like_child(self):
+        root = RngStream(20260808, 11)
+        reps = np.array([0, 1, 7, -3, 2**40])[:, None, None]
+        methods = np.arange(1, 4)
+        budgets = np.arange(2)[:, None]
+        ids = root.child_ids(5, reps, methods, budgets)
+        assert ids.shape == (5, 2, 3)
+        for r, rep in enumerate(reps.ravel()):
+            for e in range(2):
+                for m, method in enumerate(methods):
+                    assert int(ids[r, e, m]) == root.child(5, rep, method, e).stream_id
+        high = np.array([2**63, 2**64 - 1], dtype=np.uint64)
+        assert root.child_ids(high, -1).tolist() == [root.child(int(h), -1).stream_id
+                                                     for h in high]
+
+    def test_child_ids_refuse_non_integer_indices(self):
+        with pytest.raises(UsageError):
+            RngStream(1).child_ids(np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("stream_id", [0, 3, 2**63 + 5, 2**64 - 1])
+    def test_rekey_draws_as_a_fresh_stream(self, stream_id):
+        stream = RngStream(20260808, 99)
+        gen = stream.generator
+        # leave a partial buffer and a held 32-bit half behind
+        gen.random(3)
+        gen.integers(0, 1000, dtype=np.uint32)
+        stream.rekey(stream_id)
+        assert stream.stream_id == stream_id
+        assert stream.generator is gen
+        fresh = RngStream(20260808, stream_id).generator
+        assert str(gen.bit_generator.state) == str(fresh.bit_generator.state)
+        assert np.array_equal(gen.standard_gamma(np.array([0.3, 2.0, 50.0])),
+                              fresh.standard_gamma(np.array([0.3, 2.0, 50.0])))
+        assert np.array_equal(gen.integers(0, 1000, size=5, dtype=np.uint32),
+                              fresh.integers(0, 1000, size=5, dtype=np.uint32))
+        assert np.array_equal(gen.random(7), fresh.random(7))
+
+    def test_rekey_keeps_the_seed(self):
+        stream = RngStream(2**64 + 5, 1)
+        stream.rekey(-1)
+        assert (stream.seed, stream.stream_id) == (5, 2**64 - 1)
+        assert np.array_equal(stream.generator.random(4), RngStream(5, -1).generator.random(4))
+
 
 class TestSampleGamma:
     def test_mean(self):
@@ -72,6 +135,30 @@ class TestSampleGamma:
     def test_domain(self, shape, rate):
         with pytest.raises(DomainError):
             sample_gamma(shape, rate, RngStream(0))
+
+    @pytest.mark.parametrize("shape,rate,size", [
+        ([0.2, 3.0, 40.0, 1e-3], [1.5, 0.25, 1e4, 7.0], None),
+        (2.5, [1.0, 2.0, 3.0, 1e-5], None),
+        ([0.5, 9.0], 4.0, None),
+        (2.5, 4.0, None),
+        (2.5, 4.0, 6),
+        (0.7, [1.0, 2.0, 3.0], (2, 3)),
+        ([0.7, 5.0, 1e-2], [1.0, 2.0, 3.0], (4, 3)),
+    ], ids=["vectors", "scalar-shape", "scalar-rate", "scalars", "scalars-size",
+            "scalar-shape-size", "vectors-size"])
+    def test_draws_numpys_two_parameter_gamma_bit_for_bit(self, shape, rate, size):
+        got = sample_gamma(shape, rate, RngStream(11, 4), size=size)
+        reference = RngStream(11, 4).generator.gamma(shape, 1.0 / np.asarray(rate), size=size)
+        reference = np.maximum(reference, np.finfo(np.float64).tiny)
+        assert np.shape(got) == np.shape(reference)
+        assert np.array_equal(got, reference)
+        assert isinstance(got, float) == (np.ndim(reference) == 0)
+
+    def test_one_draw_per_rate(self):
+        rates = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        draws = sample_gamma(3.0, rates, RngStream(2))
+        assert draws.shape == rates.shape
+        assert len(set(draws.tolist())) == rates.size
 
 
 class TestSampleDirichlet:
@@ -96,6 +183,12 @@ class TestSampleDirichlet:
         draw = sample_dirichlet(alphas, RngStream(seed))
         assert np.all(draw > 0)
         assert abs(draw.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("alphas", [[2.0, 3.0], [1e-3, 0.5, 40.0, 7.0], [1e-9] * 5])
+    def test_normalises_numpys_gamma_bit_for_bit(self, alphas):
+        raw = RngStream(8, 1).generator.gamma(np.array(alphas))
+        raw = np.maximum(raw, np.finfo(np.float64).tiny)
+        assert np.array_equal(sample_dirichlet(alphas, RngStream(8, 1)), raw / raw.sum())
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -229,6 +322,15 @@ class TestCountDataset:
         with pytest.raises(ValueError):
             data.counts[0] = 5
 
+    def test_freezes_copies_of_the_callers_arrays(self):
+        counts, pops = np.array([1, 2, 3]), np.ones(3)
+        data = CountDataset.from_counts(counts, pops)
+        for given, held in ((counts, data.counts), (pops, data.populations)):
+            assert given.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(given, held)
+        pops[0] = 5.0
+        assert data.populations[0] == 1.0
+
 
 class TestPriorSpec:
     def test_md_requires_alpha(self):
@@ -243,6 +345,16 @@ class TestPriorSpec:
         with pytest.raises(DomainError):
             PriorSpec(mode=PriorModel.POISSON_GAMMA, a=np.array([2.0, 3.0]),
                       b=np.array([4.0, 2.1]), target_rates=np.array([0.5, 1.5]))
+
+    def test_freezes_copies_of_the_callers_arrays(self):
+        a, b, rates, alpha = np.ones(3), np.full(3, 2.0), np.full(3, 0.5), np.ones(3)
+        spec = PriorSpec.poisson_gamma(a, b=b)
+        targeted = PriorSpec.poisson_gamma(a, target_rates=rates)
+        md = PriorSpec.multinomial_dirichlet(alpha)
+        for given, held in ((a, spec.a), (b, spec.b), (a, targeted.a),
+                            (rates, targeted.target_rates), (alpha, md.alpha)):
+            assert given.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(given, held)
 
     def test_pg_exactly_one_of_b_or_targets(self):
         with pytest.raises(UsageError):
