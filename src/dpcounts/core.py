@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, UsageError
 
@@ -372,13 +371,20 @@ def sample_multinomial(total: int, probs, rng: RngStream) -> np.ndarray:
     total = int(total)
     if total < 0:
         raise DomainError("total must be non-negative")
+    return rng.generator.multinomial(total, _checked_probs(probs)).astype(np.int64)
+
+
+def _checked_probs(probs) -> np.ndarray:
+    """Cell probabilities as sample_multinomial draws with: checked to be
+    finite, non-negative and to sum to 1 within 1e-9, then divided by their
+    sum."""
     probs = _as_float_vector(probs, "probs")
     if (probs < 0).any():
         raise DomainError("probabilities must be non-negative")
     psum = probs.sum()
     if abs(psum - 1.0) > 1e-9:
         raise DomainError(f"probabilities must sum to 1 within 1e-9, got {psum!r}")
-    return rng.generator.multinomial(total, probs / psum).astype(np.int64)
+    return probs / psum
 
 
 def _allocations(z_total: int) -> np.ndarray:
@@ -395,6 +401,7 @@ def _allocation_terms(z, c) -> np.ndarray:
     broadcast, so allocations against a stack of datasets give a table.
     Groups are added one at a time, in order, so the rounding does not
     depend on how numpy splits a reduction."""
+    from scipy.special import gammaln  # local: only audits and pg-exact2 load scipy
     out = 0.0
     for i in range(z.shape[-1]):
         out = out + gammaln(z[..., i] + c[..., i]) - gammaln(z[..., i] + 1.0)

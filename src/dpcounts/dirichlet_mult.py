@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     CountDataset,
@@ -91,6 +90,7 @@ def md_log_pmf(z, y, alpha) -> float | np.ndarray:
     posterior given ``y``. A (k, I) batch of allocations gives k values, an
     (m, I) stack of datasets gives m, and both give an (m, k) table with a
     row per dataset."""
+    from scipy.special import gammaln  # local: only audits and pg-exact2 load scipy
     z, y, alpha = _checked_triple(z, y, alpha)
     z_total = y.sum(axis=-1)
     ya = y + alpha

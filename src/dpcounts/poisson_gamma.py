@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     CountDataset,
@@ -69,6 +68,7 @@ def _normalized_pair_terms(y, a, log_r1: float,
     """(log pmf of the group-1 allocation over 0..z_total, log normalizer):
     the shared allocation terms plus z1 ln r1, and one log-sum-exp; a (k, 2)
     stack of datasets gives k rows and k normalizers."""
+    from scipy.special import logsumexp  # local: only audits and pg-exact2 load scipy
     z = _allocations(z_total)
     terms = _allocation_terms(z, (y + a)[..., None, :]) + z[:, 0] * log_r1
     log_c = logsumexp(terms, axis=-1)

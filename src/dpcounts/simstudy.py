@@ -15,8 +15,10 @@ score groups with their population weights, are built once per scenario.
 The replicates of a scenario then run one block at a time, with no
 per-replicate dataset or prior objects:
 
-- counts: each replicate's counts are drawn on its own stream into one
-  (replicates, groups) matrix;
+- counts: each replicate's counts are drawn on its own stream, through one
+  generator re-keyed to each stream in turn, into one (replicates, groups)
+  matrix; the cell probabilities are normalised and checked, and every
+  replicate's stream ids derived, once per scenario;
 - state targets: every row's state event totals come from one bincount, and
   are sums of integers, so they equal state_target_rates' values exactly;
 - calibration: one lockstep solve over every (replicate, budget) lane, with
@@ -60,7 +62,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (_FLOOR, CountDataset, PriorModel, PriorSpec, RngStream, _check_gamma_args,
-                   _check_gamma_prior, sample_dirichlet, sample_gamma, sample_multinomial)
+                   _check_gamma_prior, _checked_probs, sample_dirichlet, sample_gamma,
+                   sample_multinomial)
 from .dirichlet_mult import calibrate_md
 from .errors import DomainError, UsageError
 # calibrate_pg is not called here, but stays bound: perfbench's tracer wraps
@@ -214,13 +217,12 @@ def gen_truth(scenario: Scenario) -> GroundTruth:
                        urban=urban, region_a=region_a, region_b=region_b)
 
 
-def _draw_counts(populations: np.ndarray, rates: np.ndarray, y_total: int,
-                 rng: RngStream) -> np.ndarray:
-    """The multinomial allocation of the fixed total with cell weights
-    n_i * rate_i, which is exactly the law of independent Poisson counts
-    conditioned on their sum."""
+def _count_probs(populations: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Cell probabilities proportional to n_i * rate_i: the multinomial
+    allocation of the fixed total with them is exactly the law of
+    independent Poisson counts conditioned on their sum."""
     weights = populations * rates
-    return sample_multinomial(int(y_total), weights / weights.sum(), rng)
+    return weights / weights.sum()
 
 
 def gen_replicate(populations, rates, y_total: int, rng: RngStream,
@@ -228,7 +230,7 @@ def gen_replicate(populations, rates, y_total: int, rng: RngStream,
     """One replicate dataset, its counts drawn as in the study."""
     populations = np.asarray(populations, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
-    counts = _draw_counts(populations, rates, y_total, rng)
+    counts = sample_multinomial(int(y_total), _count_probs(populations, rates), rng)
     return CountDataset.from_counts(counts, populations, state_ids=state_ids)
 
 
@@ -347,6 +349,10 @@ class _Case(NamedTuple):
     state_index: np.ndarray  # per group
     state_pops: np.ndarray  # per state, in state-index order
     true_state_rates: np.ndarray  # per group
+    count_probs: np.ndarray  # per group, normalised and checked
+    count_ids: np.ndarray  # per replicate: stream (scenario, replicate, 0)
+    # (replicate, budget, method): stream (scenario, replicate, 1 + method, budget)
+    row_ids: np.ndarray
 
 
 def _block_metrics(config: StudyConfig, cases: list[_Case],
@@ -360,10 +366,15 @@ def _block_metrics(config: StudyConfig, cases: list[_Case],
     case = cases[scenario_idx]
     truth, y_total = case.truth, case.y_total
     pops = truth.populations
-    master = RngStream(config.seed)
     reps = np.arange(start, stop)
-    counts = np.array([_draw_counts(pops, truth.rates, y_total,
-                                    master.child(scenario_idx, rep, 0)) for rep in reps])
+    # one generator, re-keyed to each replicate's count stream and then to
+    # each posterior row's stream, draws what those streams' own would
+    lane_stream = RngStream(config.seed)
+    gen = lane_stream.generator
+    counts = np.empty((len(reps), pops.size), dtype=np.int64)
+    for stream_id, row in zip(case.count_ids[start:stop].tolist(), counts):
+        lane_stream.rekey(stream_id)
+        row[:] = gen.multinomial(y_total, case.count_probs)
 
     if config.state_targets_from_truth:
         targets = np.broadcast_to(case.true_state_rates, counts.shape)
@@ -398,16 +409,12 @@ def _block_metrics(config: StudyConfig, cases: list[_Case],
     rates[:, :, 0] = pops + case.national_b
     rates[:, :, 1] = pops + b_min.reshape(lanes + (-1,))
     _check_gamma_args(shapes, rates)
-    stream_ids = master.child_ids(scenario_idx, reps[:, None, None], 1 + np.arange(len(_METHODS)),
-                                  np.arange(len(epsilons))[:, None])
-    # one generator, re-keyed to each row's stream, fills the row with
-    # one-parameter gamma draws: numpy's gamma(shape, scale) and the
-    # Dirichlet's gamma(alphas) are scale * standard_gamma(shape), so the
-    # scaling, the floor and the Dirichlet normalisation run on whole arrays
+    # each row is filled with one-parameter gamma draws: numpy's
+    # gamma(shape, scale) and the Dirichlet's gamma(alphas) are
+    # scale * standard_gamma(shape), so the scaling, the floor and the
+    # Dirichlet normalisation run on whole arrays
     draws = np.empty_like(shapes)
-    lane_stream = RngStream(config.seed)
-    gen = lane_stream.generator
-    for stream_id, shape_row, row in zip(stream_ids.ravel().tolist(),
+    for stream_id, shape_row, row in zip(case.row_ids[start:stop].ravel().tolist(),
                                          shapes.reshape(-1, pops.size),
                                          draws.reshape(-1, pops.size)):
         lane_stream.rekey(stream_id)
@@ -500,8 +507,8 @@ def _map_blocks(config: StudyConfig, cases: list[_Case], blocks: list[tuple[int,
         return [_block_metrics(config, cases, block) for block in blocks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    # fork, not spawn: a spawned worker re-imports numpy, scipy and this
-    # package (about 0.5 s each), and the study state would be pickled to it.
+    # fork, not spawn: a spawned worker re-imports numpy and this package
+    # (about 0.35 s each), and the study state would be pickled to it.
     # The executor forks every worker on the first submit, from this thread
     # and before it starts threads of its own.
     with ProcessPoolExecutor(max_workers=n_procs,
@@ -532,13 +539,14 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         truths = [(scenario.label, gen_truth(scenario), config.y_total)
                   for scenario in _scenario_objects(config)]
 
+    master = RngStream(config.seed)
     cases = []
     for scenario_idx, (label, truth, y_total) in enumerate(truths):
         pops = truth.populations
         # national targets depend on the fixed total and the populations only,
         # so every replicate calibrates them alike; replicate 0 stands in
         ref_data = gen_replicate(pops, truth.rates, y_total,
-                                 RngStream(config.seed).child(scenario_idx, 0, 0),
+                                 master.child(scenario_idx, 0, 0),
                                  state_ids=truth.state_ids)
         national = [cal.prior() for cal in calibrate_pg_budgets(
             config.epsilons, ref_data, rule=TargetRule.DEFAULT_NATIONAL)]
@@ -549,9 +557,14 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         groups = tuple(_score_group(pops, idx) for idx in
                        (truth.urban, ~truth.urban, truth.region_a, truth.region_b))
         state_index, _, state_pops, _ = _group_states(ref_data)
-        cases.append(_Case(label, truth, y_total, prior_shapes,
-                           np.array([n.b for n in national]), groups, state_index,
-                           state_pops, _true_state_rates(truth, state_index)))
+        reps = np.arange(config.n_replicates)
+        cases.append(_Case(
+            label, truth, y_total, prior_shapes, np.array([n.b for n in national]), groups,
+            state_index, state_pops, _true_state_rates(truth, state_index),
+            _checked_probs(_count_probs(pops, truth.rates)),
+            master.child_ids(scenario_idx, reps, 0),
+            master.child_ids(scenario_idx, reps[:, None, None], 1 + np.arange(len(_METHODS)),
+                             np.arange(len(config.epsilons))[:, None])))
 
     n_procs = _worker_count(config)
     blocks = _replicate_blocks(len(cases), config.n_replicates,
