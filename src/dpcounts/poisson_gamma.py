@@ -57,9 +57,13 @@ def structure_ratio(i: int, populations, b) -> float:
     return float(_structure_ratios(n, n.sum() - n, b)[i])
 
 
-def _structure_ratios(n: np.ndarray, n_c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # b is one prior-mass vector, or a (k, I) matrix with one row per lane
-    b_c = b.sum(axis=-1, keepdims=True) - b
+def _structure_ratios(n: np.ndarray, n_c: np.ndarray, b: np.ndarray,
+                      b_total=None) -> np.ndarray:
+    # b is one prior-mass vector, or a matrix with one row per lane; b_total,
+    # the prior-mass total, defaults to the sum of b's last axis
+    if b_total is None:
+        b_total = b.sum(axis=-1, keepdims=True)
+    b_c = b_total - b
     return (b_c / n_c + 2.0) / (b / n + 2.0)
 
 
@@ -271,33 +275,33 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
     budget.
 
     The budgets are the lanes of one lockstep solve (``_calibrate_lanes``),
-    all sharing this dataset's targets; the simulation study calls the same
-    solver with one lane per (replicate, budget) and targets that differ per
-    lane. A lane's bracket, steps and iteration count depend on its own
-    budget and targets only.
+    all sharing this dataset's targets, passed factored as their distinct
+    values and each group's index into them; the simulation study calls the
+    same solver with one lane per (replicate, budget) and per-state targets
+    that differ per lane. A lane's bracket, steps and iteration count depend
+    on its own budget and targets only. The solver returns one strength and
+    one penalty per lane; the per-group a_min, nu and r vectors are built
+    here.
     """
-    epsilons = [float(eps) for eps in epsilons]
-    if not epsilons:
-        raise UsageError("need at least one epsilon")
-    for eps in epsilons:
-        if not eps > 0:
-            raise DomainError("epsilon must be positive")
-        if not math.isfinite(eps):
-            raise DomainError("epsilon must be finite")
+    epsilons = _checked_budgets(epsilons)
     if data.total < 1:
         raise DomainError("calibration needs a positive event total")
     lam0 = _resolve_targets(data, target_rates, rule)
     total = data.total
-    a_min, nu, r, evaluations = _calibrate_lanes(
-        epsilons, data.populations, total,
-        np.broadcast_to(lam0, (len(epsilons), lam0.size)))
+    n = data.populations
+    rates, index = np.unique(lam0, return_inverse=True)
+    roots, nu, evaluations = _calibrate_lanes(
+        epsilons, n, total, np.broadcast_to(rates, (len(epsilons), rates.size)), index)
+    a_min = np.empty((len(epsilons), n.size))
+    a_min[:] = roots[:, None]
+    r = _structure_ratios(n, n.sum() - n, a_min / lam0)
     return tuple(
         PgCalibration(
             epsilon=eps,
             z_total=total,
             y_total=total,
             a_min=a_min[k],
-            nu=nu[k],
+            nu=np.full(n.size, nu[k]),
             r=r[k],
             iterations=evaluations[k],
             converged=True,
@@ -306,34 +310,52 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
         for k, eps in enumerate(epsilons))
 
 
-def _calibrate_lanes(epsilons, n: np.ndarray, total: int, targets: np.ndarray):
+def _checked_budgets(epsilons) -> list[float]:
+    """The budgets as floats, each checked to be positive and finite."""
+    epsilons = [float(eps) for eps in epsilons]
+    if not epsilons:
+        raise UsageError("need at least one epsilon")
+    for eps in epsilons:
+        if not eps > 0:
+            raise DomainError("epsilon must be positive")
+        if not math.isfinite(eps):
+            raise DomainError("epsilon must be finite")
+    return epsilons
+
+
+def _calibrate_lanes(epsilons, n: np.ndarray, total: int, rates: np.ndarray,
+                     index: np.ndarray):
     """The lockstep solve behind calibrate_pg_budgets. Lane k calibrates
-    budget ``epsilons[k]`` against the target rates in row k of the (k, I)
-    matrix ``targets``; the populations n and the total are shared. Inputs
-    are taken as checked. Returns (a_min, nu, r) as (k, I) matrices and the
-    number of certified-budget evaluations of each lane.
+    budget ``epsilons[k]`` against factored targets: group i's target is
+    ``rates[k, index[i]]``, for a (k, S) matrix ``rates`` of class rates and
+    a class index per group in which every class 0 .. S - 1 occurs. The
+    populations n and the total are shared. Inputs are taken as checked.
+    Returns each lane's strength a_min and penalty nu as (k,) vectors, and
+    its number of certified-budget evaluations.
 
     Each round gathers the pending strength of every unfinished lane and
-    evaluates them all in one call of the certified-budget kernel, one row
-    per lane. That kernel is pg_implied_epsilon's; its complement is summed
-    over I equal strengths, so each value equals pg_implied_epsilon(n,
+    evaluates them all in one call of ``_lane_penalties``, which works at
+    class level: within a class every step of the structure ratio is a
+    correctly rounded monotone operation, so the computed ratio weakly rises
+    with the population and the class minimum sits at its smallest group,
+    the only one evaluated. Every value thus equals pg_implied_epsilon(n,
     a * ones, a * ones / target) bit for bit, whatever the other lanes hold.
     """
     n_c = n.sum() - n
+    first = _smallest_groups(n, index)
     solves = [_illinois(eps, total) for eps in epsilons]
     pending = [solve.send(None) for solve in solves]
     evaluations = [0] * len(solves)
-    roots = [0.0] * len(solves)
+    roots = np.empty(len(solves))
+    # one (lanes, groups) scratch matrix for every round: a fresh one per
+    # round would cost about as much again in page faults as the arithmetic
+    work = np.empty((len(solves), n.size))
     live = list(range(len(solves)))
     while live:
         a = np.array([pending[k] for k in live])
-        strengths = np.empty((a.size, n.size))
-        strengths[:] = a[:, None]
-        a_comp = strengths.sum(axis=1) - a
-        certified = _certified_epsilon(n, n_c, a, a_comp, strengths / targets[live],
-                                       total, total)
+        nu = _lane_penalties(n, n_c, index, first, a, rates[live], total, work)
         still_live = []
-        for k, value in zip(live, certified.tolist()):
+        for k, value in zip(live, _budget_of_penalty(nu, a, total).tolist()):
             evaluations[k] += 1
             try:
                 pending[k] = solves[k].send(value - epsilons[k])
@@ -341,13 +363,49 @@ def _calibrate_lanes(epsilons, n: np.ndarray, total: int, targets: np.ndarray):
             except StopIteration as done:
                 roots[k] = done.value
         live = still_live
+    return roots, _lane_penalties(n, n_c, index, first, roots, rates, total, work), evaluations
 
-    a_min = np.empty((len(roots), n.size))
-    a_min[:] = np.array(roots)[:, None]
-    r = _structure_ratios(n, n_c, a_min / targets)
-    nu = _penalties(a_min.sum(axis=1, keepdims=True) - a_min, total, total,
-                    r.min(axis=1, keepdims=True))
-    return a_min, nu, r, evaluations
+
+def _smallest_groups(n: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """A smallest-population group of each class 0 .. S - 1 of ``index``,
+    where the class's structure ratio is smallest (see _lane_penalties).
+    Groups that tie give the same ratio, so any of them will do."""
+    smallest = np.full(index.max() + 1, np.inf)
+    np.minimum.at(smallest, index, n)
+    candidates = np.flatnonzero(n == smallest[index])
+    first = np.empty(smallest.size, dtype=np.intp)
+    first[index[candidates]] = candidates
+    return first
+
+
+def _lane_penalties(n, n_c, index, first, a, rates, total: int, work) -> np.ndarray:
+    """Penalty nu of each lane k when every group holds strength a[k] and
+    group i's target is rates[k, index[i]]; ``first`` holds each class's
+    smallest-population group (_smallest_groups), n_c the complement
+    populations, and ``work`` scratch space of at least (lanes, groups),
+    which this overwrites. The budget a lane certifies is ln[nu (total + a) / a]
+    (_budget_of_penalty).
+
+    The complement strength is the row sum of I copies of a, and the prior
+    mass total B the row sum of every group's a / target, gathered with
+    ``take`` so that each row is contiguous and sums pairwise as the same
+    values in a vector do (``b[:, index]`` would come out column-major and
+    sum in another order). The structure ratios are formed only at the
+    ``first`` groups. Within a class b = a / rate is one value, the
+    complement's prior mass b_c = B - b is non-negative (a rounded sum of
+    positive terms is at least each of them), and n_c = N - n falls as n
+    rises; every step of (b_c / n_c + 2) / (b / n + 2) is a correctly
+    rounded monotone operation, so the computed ratio is weakly increasing
+    in n and the class minimum sits at its smallest group. The row minimum
+    over these groups is thus the minimum over all groups, bit for bit.
+    """
+    work = work[:a.size]
+    work[:] = a[:, None]
+    a_comp = work.sum(axis=1) - a
+    b = a[:, None] / rates
+    r = _structure_ratios(n[first], n_c[first], b,
+                          b.take(index, axis=1, out=work).sum(axis=1, keepdims=True))
+    return _penalties(a_comp, total, total, r.min(axis=1))
 
 
 def _illinois(epsilon: float, total: int):
@@ -400,8 +458,9 @@ def integer_prior_strength(calibration: PgCalibration, populations) -> np.ndarra
 def pg_implied_epsilon(populations, a, b, y_total: int, z_total: int) -> float:
     """The budget certified by a given Poisson-gamma prior: the largest
     per-group value of ln[nu_i (z_total + a_i) / a_i], with the conservative
-    min-over-groups structure ratio inside each penalty. It shares its
-    kernel with the calibration solve (calibrate_pg_budgets)."""
+    min-over-groups structure ratio inside each penalty. The calibration
+    solve (calibrate_pg_budgets) evaluates the same value at class level,
+    bit for bit, through the same ratio and penalty steps."""
     n = np.asarray(populations, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -412,12 +471,15 @@ def pg_implied_epsilon(populations, a, b, y_total: int, z_total: int) -> float:
 def _certified_epsilon(n, n_c, a, a_comp, b, y_total: int, z_total: int) -> np.ndarray:
     """Certified-budget kernel: ln[nu (z_total + a) / a] for every group,
     given complement populations n_c and complement strengths a_comp; the
-    budget is their maximum. Batch form: b is a (k, I) matrix with one row
-    per lane, and a and a_comp hold each lane's strength shared by all its
-    groups, so every group of a lane has the same value and the result is
-    one certified budget per lane."""
+    budget is their maximum."""
     r = _structure_ratios(n, n_c, b)
     nu = _penalties(a_comp, y_total, z_total, r.min(axis=-1))
+    return _budget_of_penalty(nu, a, z_total)
+
+
+def _budget_of_penalty(nu, a, z_total: int):
+    """The budget ln[nu (z_total + a) / a] that penalty nu and strength a
+    certify."""
     return np.log(nu * (z_total + a) / a)
 
 

@@ -9,20 +9,24 @@ two-state contrasts are tracked. Replicates own derived random streams, so
 results are bit-identical for any worker count and any split of the
 replicates into blocks.
 
-The baseline and national-target priors for each budget, the true state
-rates, each state's population total, and the urban, rural and two-region
-score groups with their population weights, are built once per scenario.
-The replicates of a scenario then run one block at a time, with no
+Each scenario is prepared once, before its replicates fan out, with no
 per-replicate dataset or prior objects:
 
-- counts: each replicate's counts are drawn on its own stream, through one
-  generator re-keyed to each stream in turn, into one (replicates, groups)
-  matrix; the cell probabilities are normalised and checked, and every
-  replicate's stream ids derived, once per scenario;
-- state targets: every row's state event totals come from one bincount, and
-  are sums of integers, so they equal state_target_rates' values exactly;
-- calibration: one lockstep solve over every (replicate, budget) lane, with
-  the calibration's and the prior's checks run on every lane at once;
+- counts: each replicate's counts are drawn on its own stream (scenario,
+  replicate, 0), through one generator re-keyed to each stream in turn,
+  into one (replicates, groups) matrix;
+- state targets: every replicate's state event totals come from one
+  bincount, and are sums of integers, so they equal state_target_rates'
+  values exactly;
+- calibration: one lockstep solve over a lane per (replicate, budget) with
+  that replicate's state targets, and a lane per budget with the national
+  target, which depends on the fixed total and the populations only. The
+  targets are passed per state, so each solve round works on (lanes,
+  states) matrices; every lane then gets the calibration's and the prior's
+  checks at once, and is kept as one strength and one b per state.
+
+The replicates then run one block at a time:
+
 - sampling: every (replicate, budget, method) row's posterior shapes, and
   the PG rows' rates, are built as whole arrays and checked once. Each row
   still draws on its own stream (scenario, replicate, 1 + method, budget):
@@ -41,11 +45,11 @@ With ``n_workers > 1`` the blocks run in a pool of forked worker processes
 (POSIX only); each scenario is split into enough blocks to give every worker
 one. The study runs serially instead where ``fork`` is unavailable or the
 calling process has more than one thread, since forking a threaded process
-can deadlock the child. Each worker inherits the scenarios' truths, priors
-and score groups from the parent and receives only (scenario, first, stop)
-block bounds, so nothing but the small per-block metrics crosses a process
-boundary. On Linux a worker is sent SIGTERM when its parent dies, so a
-parent killed by a signal leaves no worker behind.
+can deadlock the child. Each worker inherits the scenarios' truths, counts,
+calibrated priors and score groups from the parent and receives only
+(scenario, first, stop) block bounds, so nothing but the small per-block
+metrics crosses a process boundary. On Linux a worker is sent SIGTERM when
+its parent dies, so a parent killed by a signal leaves no worker behind.
 """
 
 from __future__ import annotations
@@ -68,9 +72,9 @@ from .dirichlet_mult import calibrate_md
 from .errors import DomainError, UsageError
 # calibrate_pg is not called here, but stays bound: perfbench's tracer wraps
 # it at every module that binds it, and its tests check this module
-from .poisson_gamma import (RATE_FLOOR_SCALE, TargetRule, _calibrate_lanes,
-                            _check_requirement, _floored_rates, _group_states,
-                            calibrate_pg, calibrate_pg_budgets)  # noqa: F401
+from .poisson_gamma import (RATE_FLOOR_SCALE, _calibrate_lanes, _check_requirement,
+                            _checked_budgets, _floored_rates, _group_states,
+                            calibrate_pg)  # noqa: F401
 
 RMSE_SCALE = 100_000.0  # rates are reported per 100,000 population
 
@@ -333,9 +337,9 @@ def _scenario_objects(config: StudyConfig) -> list[Scenario]:
 
 
 def _true_state_rates(truth: GroundTruth, state_index: np.ndarray) -> np.ndarray:
-    state_rates = [_weighted_mean(truth.rates, _score_group(truth.populations, state_index == s))
-                   for s in range(state_index.max() + 1)]
-    return np.array(state_rates)[state_index]
+    """Population-weighted mean true rate of each state."""
+    return np.array([_weighted_mean(truth.rates, _score_group(truth.populations, state_index == s))
+                     for s in range(state_index.max() + 1)])
 
 
 class _Case(NamedTuple):
@@ -343,14 +347,13 @@ class _Case(NamedTuple):
     label: str
     truth: GroundTruth
     y_total: int
-    prior_shapes: np.ndarray  # (budget, 2, group): MD alpha, PG-national a
-    national_b: np.ndarray  # (budget, group)
     groups: tuple  # the urban, rural, region A and B score groups
     state_index: np.ndarray  # per group
-    state_pops: np.ndarray  # per state, in state-index order
-    true_state_rates: np.ndarray  # per group
-    count_probs: np.ndarray  # per group, normalised and checked
-    count_ids: np.ndarray  # per replicate: stream (scenario, replicate, 0)
+    counts: np.ndarray  # (replicate, group)
+    # (replicate, budget, method): the prior strength every group shares
+    strengths: np.ndarray
+    # (replicate, budget, PG method, state): b = strength / target rate
+    prior_b: np.ndarray
     # (replicate, budget, method): stream (scenario, replicate, 1 + method, budget)
     row_ids: np.ndarray
 
@@ -366,53 +369,19 @@ def _block_metrics(config: StudyConfig, cases: list[_Case],
     case = cases[scenario_idx]
     truth, y_total = case.truth, case.y_total
     pops = truth.populations
-    reps = np.arange(start, stop)
-    # one generator, re-keyed to each replicate's count stream and then to
-    # each posterior row's stream, draws what those streams' own would
-    lane_stream = RngStream(config.seed)
-    gen = lane_stream.generator
-    counts = np.empty((len(reps), pops.size), dtype=np.int64)
-    for stream_id, row in zip(case.count_ids[start:stop].tolist(), counts):
-        lane_stream.rekey(stream_id)
-        row[:] = gen.multinomial(y_total, case.count_probs)
-
-    if config.state_targets_from_truth:
-        targets = np.broadcast_to(case.true_state_rates, counts.shape)
-    else:
-        # every row's state event totals in one bincount, row k's states
-        # offset by k * n_states; sums of integers, so exact in any order
-        n_states = case.state_pops.size
-        bins = case.state_index + n_states * np.arange(len(reps))[:, None]
-        totals = np.bincount(bins.ravel(), weights=counts.ravel(),
-                             minlength=len(reps) * n_states)
-        targets = _floored_rates(totals.reshape(len(reps), n_states),
-                                 case.state_pops)[:, case.state_index]
-
-    # one lane per (replicate, budget), the budget varying fastest; each
-    # lane gets PgCalibration's and PriorSpec's checks
-    epsilons = [float(eps) for eps in config.epsilons]
-    lane_targets = np.repeat(targets, len(epsilons), axis=0)
-    a_min, nu, _, _ = _calibrate_lanes(epsilons * len(reps), pops, y_total, lane_targets)
-    e_eps = np.tile([math.exp(eps) for eps in epsilons], len(reps))
-    _check_requirement(e_eps[:, None], y_total, a_min, nu)
-    b_min = a_min / lane_targets
-    _check_gamma_prior(a_min, b_min)
-
     # (replicate, budget, method) rows of posterior shapes, and the rates of
     # the two PG methods; method m draws on stream (scenario, replicate,
     # 1 + m, budget), in _METHODS order
-    lanes = (len(reps), len(epsilons))
-    shapes = np.empty(lanes + (len(_METHODS), pops.size))
-    shapes[:, :, :2] = counts[:, None, None] + case.prior_shapes
-    shapes[:, :, 2] = counts[:, None] + a_min.reshape(lanes + (-1,))
-    rates = np.empty(lanes + (2, pops.size))
-    rates[:, :, 0] = pops + case.national_b
-    rates[:, :, 1] = pops + b_min.reshape(lanes + (-1,))
+    shapes = case.counts[start:stop, None, None] + case.strengths[start:stop, :, :, None]
+    rates = pops + case.prior_b[start:stop].take(case.state_index, axis=-1)
     _check_gamma_args(shapes, rates)
     # each row is filled with one-parameter gamma draws: numpy's
     # gamma(shape, scale) and the Dirichlet's gamma(alphas) are
     # scale * standard_gamma(shape), so the scaling, the floor and the
-    # Dirichlet normalisation run on whole arrays
+    # Dirichlet normalisation run on whole arrays. One generator, re-keyed
+    # to each row's stream, draws what that stream's own would.
+    lane_stream = RngStream(config.seed)
+    gen = lane_stream.generator
     draws = np.empty_like(shapes)
     for stream_id, shape_row, row in zip(case.row_ids[start:stop].ravel().tolist(),
                                          shapes.reshape(-1, pops.size),
@@ -431,7 +400,83 @@ def _block_metrics(config: StudyConfig, cases: list[_Case],
     urban, rural, region_a, region_b = (_weighted_mean(estimates, group)
                                         for group in case.groups)
     metrics = np.array([rmse(estimates, truth.rates), urban, rural, region_a / region_b])
-    return metrics.reshape(4, len(reps), -1).transpose(0, 2, 1).copy()
+    return metrics.reshape(4, stop - start, -1).transpose(0, 2, 1).copy()
+
+
+def _draw_counts(config: StudyConfig, scenario_idx: int, truth: GroundTruth,
+                 y_total: int) -> np.ndarray:
+    """Every replicate's counts, replicate r drawn on stream (scenario, r, 0)
+    through one generator re-keyed to each stream in turn."""
+    probs = _checked_probs(_count_probs(truth.populations, truth.rates))
+    stream = RngStream(config.seed)
+    ids = stream.child_ids(scenario_idx, np.arange(config.n_replicates), 0)
+    counts = np.empty((config.n_replicates, probs.size), dtype=np.int64)
+    for stream_id, row in zip(ids.tolist(), counts):
+        stream.rekey(stream_id)
+        row[:] = stream.generator.multinomial(y_total, probs)
+    return counts
+
+
+def _scenario_case(config: StudyConfig, scenario_idx: int, label: str,
+                   truth: GroundTruth, y_total: int) -> _Case:
+    """Counts, calibrated priors and score groups of one scenario. Its PG
+    priors come from one lockstep solve over a lane per (replicate, budget)
+    with the replicate's state targets, then a lane per budget with the
+    national target, every lane checked as PgCalibration and PriorSpec would
+    check it."""
+    pops = truth.populations
+    counts = _draw_counts(config, scenario_idx, truth, y_total)
+    epsilons = _checked_budgets(config.epsilons)
+    if y_total < 1:
+        raise DomainError("calibration needs a positive event total")
+    n_reps = config.n_replicates
+    state_index = np.unique(np.asarray(truth.state_ids), return_inverse=True)[1]
+    state_pops = np.bincount(state_index, weights=pops)
+    if config.state_targets_from_truth:
+        state_rates = np.broadcast_to(_true_state_rates(truth, state_index),
+                                      (n_reps, state_pops.size))
+    else:
+        # every row's state event totals in one bincount, row k's states
+        # offset by k * n_states; sums of integers, so exact in any order,
+        # and equal to state_target_rates' values
+        n_states = state_pops.size
+        bins = state_index + n_states * np.arange(n_reps)[:, None]
+        totals = np.bincount(bins.ravel(), weights=counts.ravel(),
+                             minlength=n_reps * n_states)
+        state_rates = _floored_rates(totals.reshape(n_reps, n_states), state_pops)
+    # lanes (replicate, budget), the budget varying fastest, then one
+    # national lane per budget; national targets depend on the fixed total
+    # and the populations only, so every replicate shares them
+    lane_rates = np.concatenate([np.repeat(state_rates, len(epsilons), axis=0),
+                                 np.full((len(epsilons), state_pops.size),
+                                         y_total / float(pops.sum()))])
+    a_min, nu, _ = _calibrate_lanes(epsilons * (n_reps + 1), pops, y_total,
+                                    lane_rates, state_index)
+    e_eps = np.tile([math.exp(eps) for eps in epsilons], n_reps + 1)
+    _check_requirement(e_eps, y_total, a_min, nu)
+    lane_b = (a_min[:, None] / lane_rates).reshape(n_reps + 1, len(epsilons), -1)
+    _check_gamma_prior(a_min, lane_b)
+    a_min = a_min.reshape(n_reps + 1, len(epsilons))
+    # (replicate, budget, PG method, state), the national lanes' b repeated
+    # for every replicate
+    prior_b = np.stack([np.broadcast_to(lane_b[-1], lane_b[:-1].shape), lane_b[:-1]], axis=2)
+
+    alphas = [calibrate_md(eps, y_total).alpha_min for eps in epsilons]
+    for alpha in alphas:  # checked as the baseline's prior
+        PriorSpec.multinomial_dirichlet(np.full(pops.size, alpha))
+    strengths = np.empty((n_reps, len(epsilons), len(_METHODS)))
+    strengths[:, :, 0] = alphas
+    strengths[:, :, 1] = a_min[-1]
+    strengths[:, :, 2] = a_min[:-1]
+    # the regions come from two distinct states, so they are disjoint
+    groups = tuple(_score_group(pops, idx) for idx in
+                   (truth.urban, ~truth.urban, truth.region_a, truth.region_b))
+    reps = np.arange(n_reps)
+    return _Case(
+        label, truth, y_total, groups, state_index, counts, strengths, prior_b,
+        RngStream(config.seed).child_ids(
+            scenario_idx, reps[:, None, None], 1 + np.arange(len(_METHODS)),
+            np.arange(len(epsilons))[:, None]))
 
 
 # (config, cases) inside a forked worker; set by _install_study, never in
@@ -539,32 +584,8 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
         truths = [(scenario.label, gen_truth(scenario), config.y_total)
                   for scenario in _scenario_objects(config)]
 
-    master = RngStream(config.seed)
-    cases = []
-    for scenario_idx, (label, truth, y_total) in enumerate(truths):
-        pops = truth.populations
-        # national targets depend on the fixed total and the populations only,
-        # so every replicate calibrates them alike; replicate 0 stands in
-        ref_data = gen_replicate(pops, truth.rates, y_total,
-                                 master.child(scenario_idx, 0, 0),
-                                 state_ids=truth.state_ids)
-        national = [cal.prior() for cal in calibrate_pg_budgets(
-            config.epsilons, ref_data, rule=TargetRule.DEFAULT_NATIONAL)]
-        md = [PriorSpec.multinomial_dirichlet(np.full(pops.size, calibrate_md(eps, y_total).alpha_min))
-              for eps in config.epsilons]
-        prior_shapes = np.array([[m.alpha, n.a] for m, n in zip(md, national)])
-        # the regions come from two distinct states, so they are disjoint
-        groups = tuple(_score_group(pops, idx) for idx in
-                       (truth.urban, ~truth.urban, truth.region_a, truth.region_b))
-        state_index, _, state_pops, _ = _group_states(ref_data)
-        reps = np.arange(config.n_replicates)
-        cases.append(_Case(
-            label, truth, y_total, prior_shapes, np.array([n.b for n in national]), groups,
-            state_index, state_pops, _true_state_rates(truth, state_index),
-            _checked_probs(_count_probs(pops, truth.rates)),
-            master.child_ids(scenario_idx, reps, 0),
-            master.child_ids(scenario_idx, reps[:, None, None], 1 + np.arange(len(_METHODS)),
-                             np.arange(len(config.epsilons))[:, None])))
+    cases = [_scenario_case(config, scenario_idx, label, truth, y_total)
+             for scenario_idx, (label, truth, y_total) in enumerate(truths)]
 
     n_procs = _worker_count(config)
     blocks = _replicate_blocks(len(cases), config.n_replicates,

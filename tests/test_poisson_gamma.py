@@ -14,9 +14,13 @@ from dpcounts.poisson_gamma import (
     PgCalibration,
     SynthesisStrategy,
     TargetRule,
+    _budget_of_penalty,
     _calibrate_lanes,
     _certified_epsilon,
+    _lane_penalties,
     _penalties,
+    _smallest_groups,
+    _structure_ratios,
     calibrate_pg,
     calibrate_pg_budgets,
     conditional_log_pmf_all,
@@ -322,6 +326,36 @@ class TestCertifiedKernel:
                                     a / lam, total, total)
         assert scalar == vector
 
+    @settings(max_examples=150, deadline=None)
+    @given(n_groups=st.integers(2, 300), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           equal_pops=st.booleans(), n_rates=st.integers(1, 3),
+           total=st.integers(1, 20_000))
+    def test_class_level_lanes_match_vector_path(self, n_groups, data, seed, equal_pops,
+                                                 n_rates, total):
+        # factored targets: classes of groups that share a rate, each class
+        # evaluated at its smallest group only; rates come from a pool of at
+        # most three values, so distinct classes often share one, and up to
+        # one class per group makes one-group classes common. Several lanes
+        # at once, and up to 300 groups, so that the row sums are pairwise.
+        gen = np.random.default_rng(seed)
+        n_classes = data.draw(st.integers(1, n_groups), label="n_classes")
+        index = gen.permutation(np.concatenate([
+            np.arange(n_classes), gen.integers(0, n_classes, n_groups - n_classes)]))
+        n = (np.full(n_groups, data.draw(st.floats(0.01, 1e7), label="n"))
+             if equal_pops else np.exp(gen.normal(8.0, 3.0, n_groups)))
+        pool = np.exp(gen.uniform(math.log(1e-6), math.log(10.0), n_rates))
+        n_lanes = data.draw(st.integers(1, 4), label="n_lanes")
+        rates = pool[gen.integers(0, n_rates, (n_lanes, n_classes))]
+        a = np.exp(gen.uniform(math.log(1e-3), math.log(1e4), n_lanes))
+        nu = _lane_penalties(n, n.sum() - n, index, _smallest_groups(n, index), a, rates,
+                             total, np.empty((n_lanes, n_groups)))
+        certified = _budget_of_penalty(nu, a, total)
+        ones = np.ones(n_groups)
+        for k in range(n_lanes):
+            targets = rates[k, index]
+            assert certified[k] == pg_implied_epsilon(n, a[k] * ones, a[k] * ones / targets,
+                                                      total, total), k
+
     @pytest.mark.parametrize("name,eps", sorted(_PINNED_CALIBRATIONS))
     def test_calibration_pinned(self, name, eps):
         data, kwargs = _pinned_dataset(name)
@@ -398,16 +432,19 @@ class TestCalibrateBudgets:
         rows = np.array([[0.01, 0.02, 0.004], [0.5, 0.02, 0.004], [1.0, 1.0, 1.0]])
         epsilons = [8.0, 0.05, 8.0, 1.0, 0.05, 3.0, 8.0]
         targets = rows[np.arange(len(epsilons)) % 3]
-        a_min, nu, r, evaluations = _calibrate_lanes(epsilons, data.populations, data.total,
-                                                     targets)
+        # factored with one class per group: group i's target is targets[k, i]
+        n = data.populations
+        a_min, nu, evaluations = _calibrate_lanes(epsilons, n, data.total, targets,
+                                                  np.arange(n.size))
         for k, eps in enumerate(epsilons):
             want = calibrate_pg(eps, data, target_rates=targets[k], rule=TargetRule.CUSTOM)
-            assert a_min[k].tolist() == want.a_min.tolist(), k
-            assert nu[k].tolist() == want.nu.tolist(), k
-            assert r[k].tolist() == want.r.tolist(), k
+            r = _structure_ratios(n, n.sum() - n, np.full(n.size, a_min[k]) / targets[k])
+            assert [a_min[k]] * n.size == want.a_min.tolist(), k
+            assert [nu[k]] * n.size == want.nu.tolist(), k
+            assert r.tolist() == want.r.tolist(), k
             assert evaluations[k] == want.iterations, k
         # a root past 4x the start means the bracket doubled at least 3 times
-        assert a_min[0, 0] > 4 * data.total / math.expm1(8.0)
+        assert a_min[0] > 4 * data.total / math.expm1(8.0)
 
     def test_one_infeasible_lane_raises(self, monkeypatch):
         # past a strength threshold the penalty is forced past every budget,

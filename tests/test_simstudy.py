@@ -196,23 +196,22 @@ class TestRunStudy:
         assert run_study(config) == run_study(replace(config, n_workers=2))
 
     @staticmethod
-    def _fail_state_calibrations(monkeypatch):
-        # state-target calibrations run in the replicate blocks, i.e. inside
-        # workers; the national ones run in the parent through
-        # calibrate_pg_budgets, which does not use this binding
+    def _fail_block_checks(monkeypatch):
+        # the posterior draws' argument checks run in the replicate blocks,
+        # i.e. inside workers; the calibrations run in the parent
         def failing(*args):
             raise InfeasibleBudgetError(f"raised in process {os.getpid()}")
-        monkeypatch.setattr(simstudy, "_calibrate_lanes", failing)
+        monkeypatch.setattr(simstudy, "_check_gamma_args", failing)
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
-        self._fail_state_calibrations(monkeypatch)
+        self._fail_block_checks(monkeypatch)
         with pytest.raises(InfeasibleBudgetError) as err:
             run_study(self._config(n_workers=2))
         if len(os.sched_getaffinity(0)) > 1:
             assert str(err.value) != f"raised in process {os.getpid()}"
 
     def test_worker_error_exit_code(self, monkeypatch, tmp_path):
-        self._fail_state_calibrations(monkeypatch)
+        self._fail_block_checks(monkeypatch)
         argv = ["simulate", "--scenarios", "uniform-uniform", "--n-groups", "12",
                 "--y-total", "60", "--replicates", "4", "--epsilons", "1",
                 "--workers", "2", "--output", str(tmp_path / "study.csv")]
