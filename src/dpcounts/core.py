@@ -9,6 +9,8 @@ conjugate laws are built on.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -322,6 +324,24 @@ class SyntheticDataset:
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", int(self.total))
+
+
+# the largest budget whose e^eps is a finite float, about 709.7827
+_MAX_EPSILON = math.log(sys.float_info.max)
+
+
+def _checked_epsilon(epsilon) -> float:
+    """A privacy budget as a float, checked to be positive and finite, with
+    e^eps a finite float so calibration can form it."""
+    epsilon = float(epsilon)
+    if not epsilon > 0:
+        raise DomainError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise DomainError("epsilon must be finite")
+    if epsilon > _MAX_EPSILON:
+        raise DomainError(f"epsilon must be at most {_MAX_EPSILON!r}, "
+                          "where e^epsilon is still a finite float")
+    return epsilon
 
 
 def _check_gamma_args(shape, rate) -> None:

@@ -22,6 +22,7 @@ from .core import (
     RngStream,
     SyntheticDataset,
     _allocation_terms,
+    _checked_epsilon,
     sample_dirichlet,
     sample_multinomial,
 )
@@ -48,14 +49,11 @@ class MdCalibration:
 
 def calibrate_md(epsilon: float, z_total: int) -> MdCalibration:
     """Solve the budget equation: alpha_min = z_total / (e^eps - 1)."""
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
-    if not math.isfinite(epsilon):
-        raise DomainError("epsilon must be finite")
+    epsilon = _checked_epsilon(epsilon)
     z_total = int(z_total)
     if z_total < 1:
         raise DomainError("z_total must be a positive integer")
-    return MdCalibration(epsilon=float(epsilon), z_total=z_total,
+    return MdCalibration(epsilon=epsilon, z_total=z_total,
                          alpha_min=z_total / math.expm1(epsilon))
 
 

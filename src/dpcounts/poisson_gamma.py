@@ -32,6 +32,7 @@ from .core import (
     SyntheticDataset,
     _allocation_terms,
     _allocations,
+    _checked_epsilon,
     sample_gamma,
     sample_multinomial,
 )
@@ -311,15 +312,10 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
 
 
 def _checked_budgets(epsilons) -> list[float]:
-    """The budgets as floats, each checked to be positive and finite."""
-    epsilons = [float(eps) for eps in epsilons]
+    """The budgets as floats, each checked as _checked_epsilon checks it."""
+    epsilons = [_checked_epsilon(eps) for eps in epsilons]
     if not epsilons:
         raise UsageError("need at least one epsilon")
-    for eps in epsilons:
-        if not eps > 0:
-            raise DomainError("epsilon must be positive")
-        if not math.isfinite(eps):
-            raise DomainError("epsilon must be finite")
     return epsilons
 
 

@@ -28,12 +28,14 @@ per-replicate dataset or prior objects:
 The replicates then run one block at a time:
 
 - sampling: every (replicate, budget, method) row's posterior shapes, and
-  the PG rows' rates, are built as whole arrays and checked once. Each row
-  still draws on its own stream (scenario, replicate, 1 + method, budget):
-  one generator is re-keyed to that stream and fills the row with numpy's
-  one-parameter gamma sampler, the same values its two-parameter gamma
-  draws. The gamma scaling, the floor and the Dirichlet normalisation then
-  run once on the whole block;
+  the PG rows' rates, are built as whole arrays and checked once. Each
+  replicate draws all its rows on its own stream (scenario, replicate, 1):
+  one generator is re-keyed to that stream and fills the replicate's
+  (budget, method, group) slab with one call to numpy's one-parameter
+  gamma sampler, the same values its two-parameter gamma draws. The rows
+  are drawn budget-major, so appending a budget leaves the earlier budgets'
+  results unchanged. The gamma scaling, the floor and the Dirichlet
+  normalisation then run once on the whole block;
 - scoring: the rows are scored by row reductions into one
   (4, 3 * n_budgets, replicates) array: rMSE, urban rate, rural rate and
   region contrast, columns (budget, method) with the method varying fastest.
@@ -50,6 +52,8 @@ calibrated priors and score groups from the parent and receives only
 (scenario, first, stop) block bounds, so nothing but the small per-block
 metrics crosses a process boundary. On Linux a worker is sent SIGTERM when
 its parent dies, so a parent killed by a signal leaves no worker behind.
+Workers keep SIGINT blocked, so a Ctrl-C reaches the parent alone, which
+ends them.
 """
 
 from __future__ import annotations
@@ -253,7 +257,13 @@ def rate_estimates(method: SynthMethod, data: CountDataset, prior: PriorSpec,
                    rng: RngStream) -> np.ndarray:
     """One posterior rate draw per group, the quantity a release would be
     built from: a Dirichlet weight draw scaled by total/population for the
-    baseline, a gamma posterior draw for the Poisson-gamma methods."""
+    baseline, a gamma posterior draw for the Poisson-gamma methods.
+
+    Each call continues ``rng`` where the last one left it. The study draws
+    all of a replicate's rows on one stream, (scenario, replicate, 1):
+    calling this on that stream for every (budget, method) in turn, budget
+    by budget and methods in study order, gives the study's estimates, so
+    a budget's rows do not depend on the budgets after it."""
     method = SynthMethod(method)
     if method is SynthMethod.MD:
         if prior.mode is not PriorModel.MULTINOMIAL_DIRICHLET:
@@ -354,7 +364,8 @@ class _Case(NamedTuple):
     strengths: np.ndarray
     # (replicate, budget, PG method, state): b = strength / target rate
     prior_b: np.ndarray
-    # (replicate, budget, method): stream (scenario, replicate, 1 + method, budget)
+    # (replicate,): stream (scenario, replicate, 1), which draws all the
+    # replicate's (budget, method) rows in that order, budget-major
     row_ids: np.ndarray
 
 
@@ -370,24 +381,22 @@ def _block_metrics(config: StudyConfig, cases: list[_Case],
     truth, y_total = case.truth, case.y_total
     pops = truth.populations
     # (replicate, budget, method) rows of posterior shapes, and the rates of
-    # the two PG methods; method m draws on stream (scenario, replicate,
-    # 1 + m, budget), in _METHODS order
+    # the two PG methods, methods in _METHODS order
     shapes = case.counts[start:stop, None, None] + case.strengths[start:stop, :, :, None]
     rates = pops + case.prior_b[start:stop].take(case.state_index, axis=-1)
     _check_gamma_args(shapes, rates)
-    # each row is filled with one-parameter gamma draws: numpy's
-    # gamma(shape, scale) and the Dirichlet's gamma(alphas) are
-    # scale * standard_gamma(shape), so the scaling, the floor and the
-    # Dirichlet normalisation run on whole arrays. One generator, re-keyed
-    # to each row's stream, draws what that stream's own would.
+    # each replicate's rows are filled with one-parameter gamma draws, in
+    # one call on its stream: numpy's gamma(shape, scale) and the
+    # Dirichlet's gamma(alphas) are scale * standard_gamma(shape), so the
+    # scaling, the floor and the Dirichlet normalisation run on whole
+    # arrays. One generator, re-keyed to each replicate's stream, draws
+    # what that stream's own would, row after row in C order.
     lane_stream = RngStream(config.seed)
     gen = lane_stream.generator
     draws = np.empty_like(shapes)
-    for stream_id, shape_row, row in zip(case.row_ids[start:stop].ravel().tolist(),
-                                         shapes.reshape(-1, pops.size),
-                                         draws.reshape(-1, pops.size)):
+    for stream_id, shape_slab, slab in zip(case.row_ids[start:stop].tolist(), shapes, draws):
         lane_stream.rekey(stream_id)
-        gen.standard_gamma(shape_row, out=row)
+        gen.standard_gamma(shape_slab, out=slab)
     # the draws become the rate estimates in place
     weights = np.maximum(draws[:, :, 0], _FLOOR)
     draws[:, :, 0] = weights / weights.sum(axis=-1, keepdims=True) * y_total / pops
@@ -471,12 +480,8 @@ def _scenario_case(config: StudyConfig, scenario_idx: int, label: str,
     # the regions come from two distinct states, so they are disjoint
     groups = tuple(_score_group(pops, idx) for idx in
                    (truth.urban, ~truth.urban, truth.region_a, truth.region_b))
-    reps = np.arange(n_reps)
-    return _Case(
-        label, truth, y_total, groups, state_index, counts, strengths, prior_b,
-        RngStream(config.seed).child_ids(
-            scenario_idx, reps[:, None, None], 1 + np.arange(len(_METHODS)),
-            np.arange(len(epsilons))[:, None]))
+    return _Case(label, truth, y_total, groups, state_index, counts, strengths, prior_b,
+                 RngStream(config.seed).child_ids(scenario_idx, np.arange(n_reps), 1))
 
 
 # (config, cases) inside a forked worker; set by _install_study, never in
@@ -561,11 +566,21 @@ def _map_blocks(config: StudyConfig, cases: list[_Case], blocks: list[tuple[int,
                              initializer=_install_study,
                              initargs=(os.getpid(), config, cases)) as pool:
         try:
-            return list(pool.map(_block_task, blocks))
+            # a SIGINT handled inside submit can leave one of the executor's
+            # locks held, and its teardown would then wait on its manager
+            # thread forever: hold the signal back until every block is
+            # queued. The workers, forked in the first submit, and the
+            # executor's threads keep it blocked, so it reaches this thread
+            # alone.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                futures = [pool.submit(_block_task, block) for block in blocks]
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            return [future.result() for future in futures]
         except KeyboardInterrupt:
-            # a group SIGINT reaches the workers too, and one interrupted
-            # inside the call queue's lock leaves it held, so the executor's
-            # teardown would wait on the others forever: end them first
+            # the executor's teardown would wait for every queued block: end
+            # the workers first
             for worker in pool._processes.values():
                 worker.terminate()
             raise

@@ -379,6 +379,27 @@ class TestErrorsAndConfig:
         assert "epsilon must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--method", "md", "--z-total", "10", "--epsilon"],
+        ["simulate", "--scenarios", "uniform-uniform", "--n-groups", "12", "--y-total", "60",
+         "--replicates", "2", "--epsilons"],
+    ], ids=["calibrate", "simulate"])
+    @pytest.mark.parametrize("epsilon,code", [("709.78", 0), ("709.79", 3), ("1e308", 3)])
+    def test_budget_refused_where_its_exp_overflows(self, tmp_path, argv, epsilon, code,
+                                                    capsys):
+        # e^eps is a finite float up to ln(max float) = 709.7827...
+        out = tmp_path / "o.out"
+        budgets = epsilon if argv[0] == "calibrate" else f"1,{epsilon}"
+        assert run_cli(argv + [budgets, "--output", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert out.exists() and err == ""
+        else:
+            assert err.splitlines() == [
+                "error: epsilon must be at most 709.782712893384, "
+                "where e^epsilon is still a finite float"]
+            assert not out.exists()
+
     @pytest.mark.parametrize("config", [
         RunConfig(command="lemma-check"),
         RunConfig(command="calibrate", method="md", epsilon=1.0, y_total=5),

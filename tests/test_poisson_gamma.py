@@ -471,7 +471,8 @@ class TestCalibrateBudgets:
         ((-1.0,), DomainError),
         ((1.0, math.nan), DomainError),
         ((math.inf,), DomainError),
-    ], ids=["empty", "zero", "negative", "nan", "infinite"])
+        ((1.0, 709.79), DomainError),
+    ], ids=["empty", "zero", "negative", "nan", "infinite", "exp-overflows"])
     def test_bad_budgets_refused(self, epsilons, error):
         # an infinite budget puts the penalty-free root at strength 0, and
         # doubling 0 never leaves it

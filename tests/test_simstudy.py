@@ -374,6 +374,8 @@ class TestRunStudy:
                                      master.child(s_idx, rep, 0), state_ids=truth.state_ids)
                 targets = true_state if from_truth else state_target_rates(data)
                 assert got.shape == (4, 3 * len(config.epsilons))
+                # one stream per replicate draws its rows budget by budget
+                rows_rng = master.child(s_idx, rep, 1)
                 for e_idx, eps in enumerate(config.epsilons):
                     for m_idx, method in enumerate(simstudy._METHODS):
                         col = 3 * e_idx + m_idx
@@ -385,8 +387,7 @@ class TestRunStudy:
                         else:
                             prior = calibrate_pg(eps, data, target_rates=targets,
                                                  rule=TargetRule.CUSTOM).prior()
-                        est = rate_estimates(method, data, prior,
-                                             master.child(s_idx, rep, 1 + m_idx, e_idx))
+                        est = rate_estimates(method, data, prior, rows_rng)
                         assert got[:, col].tolist() == [
                             rmse(est, truth.rates),
                             weighted_mean(est, pops, truth.urban),
@@ -413,6 +414,28 @@ class TestRunStudy:
                     row.rural_rate, row.region_contrast] == [
                 np.mean(rmses), lo, hi, np.mean(urban), np.mean(rural), np.mean(contrast)]
 
+    def test_block_rekeys_once_per_replicate(self, monkeypatch):
+        # every (budget, method) row of a replicate is drawn on its one stream
+        config = self._config(epsilons=(0.5, 1.0, 4.0))
+        truth = gen_truth(simstudy._scenario_objects(config)[0])
+        case = simstudy._scenario_case(config, 0, "s0", truth, config.y_total)
+        keyed = []
+        rekey = RngStream.rekey
+
+        def counting(self, stream_id):
+            keyed.append(stream_id)
+            rekey(self, stream_id)
+        monkeypatch.setattr(RngStream, "rekey", counting)
+        simstudy._block_metrics(config, [case], (0, 1, 5))
+        assert keyed == [RngStream(config.seed).child(0, rep, 1).stream_id
+                         for rep in range(1, 5)]
+
+    def test_appending_a_budget_keeps_the_earlier_budgets_results(self):
+        shorter = run_study(self._config(epsilons=(1.0, 4.0)))
+        longer = run_study(self._config(epsilons=(1.0, 4.0, 8.0)))
+        assert len(longer) == 3 * len(shorter) // 2
+        assert [row for row in longer if row.epsilon != 8.0] == shorter
+
 
 def _children(pid: int) -> list[int]:
     with open(f"/proc/{pid}/task/{pid}/children") as f:
@@ -434,6 +457,10 @@ def _wait_until(condition, seconds: float) -> bool:
             return False
         time.sleep(0.02)
     return True
+
+
+def _blocked_signals(block):
+    return signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
 
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
@@ -465,6 +492,14 @@ class TestWorkerTeardown:
             proc.wait()
             pytest.fail("the study did not start two workers")
         return proc, _children(proc.pid)
+
+    def test_workers_keep_sigint_blocked(self, monkeypatch):
+        # a SIGINT handled inside the pool's submit could leave one of its
+        # locks held; the workers, forked there, keep the signal blocked
+        monkeypatch.setattr(simstudy, "_block_task", _blocked_signals)
+        masks = simstudy._map_blocks(None, [], [(0, 0, 1), (0, 1, 2)], 2)
+        assert [signal.SIGINT in mask for mask in masks] == [True, True]
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
     @pytest.mark.parametrize("stop", ["sigterm-parent", "sigint-group", "sigkill-worker"])
     def test_no_worker_outlives_the_run(self, stop, tmp_path):
