@@ -12,7 +12,7 @@ from dpcounts.simstudy import StudyConfig, SynthMethod, run_study
 
 config = StudyConfig(n_groups=200, y_total=1000, n_total=1e7,
                      n_replicates=50, epsilons=(0.5, 1.0, 2.0, 4.0, 8.0),
-                     seed=20260808, n_workers=2)
+                     seed=20260808)
 results = run_study(config)
 
 scenarios = []

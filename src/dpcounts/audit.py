@@ -127,7 +127,9 @@ def _pg2_table(a, b, n, y_total: int) -> np.ndarray:
     dec = (x[:, :1] > y[:, :1]).astype(np.intp)
     inc = 1 - dec
     cancelled = (log_c[x[:, :1]] - log_c[y[:, :1]]
-                 + np.log(z.T[dec[:, 0]] + np.take_along_axis(y, dec, 1) + a[dec] - 1)
+                 # the integers summed first: z + y - 1 + a keeps a tiny a,
+                 # which (z + y + a) - 1 rounds away where z + y = 1
+                 + np.log(z.T[dec[:, 0]] + np.take_along_axis(y, dec, 1) - 1 + a[dec])
                  - np.log(z.T[inc[:, 0]] + np.take_along_axis(y, inc, 1) + a[inc]))
     _cross_check(table, cancelled)
     return table

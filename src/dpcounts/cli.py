@@ -154,8 +154,9 @@ def write_counts(dataset: CountDataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# Execution-only knobs excluded from embedded configs so outputs stay
-# byte-identical across worker counts.
+# Knobs that change no output, excluded from embedded configs so outputs
+# stay byte-identical across their values: --workers is accepted, and has
+# no effect.
 _NON_SEMANTIC_KEYS = {"workers"}
 
 
@@ -384,6 +385,8 @@ def _cmd_audit(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
+    if config.workers < 1:
+        raise UsageError("--workers must be at least 1")
     ingested = None
     if config.input_path is not None:
         ingested = ingest_counts(config.input_path)
@@ -401,7 +404,6 @@ def _cmd_simulate(config: RunConfig) -> int:
         epsilons=tuple(float(e) for e in config.epsilons.split(",")),
         scenarios=scenario_pairs,
         seed=config.seed,
-        n_workers=config.workers,
         ingested=ingested,
     )
     rows = []
@@ -578,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--replicates", type=int)
     sim.add_argument("--epsilons")
     sim.add_argument("--workers", type=int,
-                     help="forked worker processes for the replicates, at "
-                          "most the usable CPUs; results do not depend on it")
+                     help="accepted for compatibility and has no effect: the "
+                          "study runs in one process")
     _add_common(sim)
 
     lem = sub("lemma-check", "exact verification of the normalizer "

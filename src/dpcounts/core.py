@@ -63,7 +63,7 @@ class RngStream:
 
     Identical (seed, stream_id) pairs yield identical draw sequences, on any
     machine and regardless of what other streams exist, so replicates and
-    synthesis workers can be fanned out in any order. A stream is owned by
+    releases can be drawn in any order. A stream is owned by
     exactly one consumer at a time; derive independent substreams with
     :meth:`child` instead of sharing.
 

@@ -6,10 +6,9 @@ baseline, Poisson-gamma smoothed to the national rate, Poisson-gamma
 smoothed to state rates) are calibrated to the same budget, a posterior rate
 draw is scored against the truth by rMSE per 100,000, and urban/rural and
 two-state contrasts are tracked. Replicates own derived random streams, so
-results are bit-identical for any worker count and any split of the
-replicates into blocks.
+results are bit-identical for any split of the replicates into blocks.
 
-Each scenario is prepared once, before its replicates fan out, with no
+Each scenario is prepared once, before its replicates run, with no
 per-replicate dataset or prior objects:
 
 - counts: each replicate's counts are drawn on its own stream (scenario,
@@ -43,26 +42,13 @@ The replicates then run one block at a time:
 Each reported value is a 1-d mean or percentile over one contiguous
 replicate series.
 
-With ``n_workers > 1`` the blocks run in a pool of forked worker processes
-(POSIX only); each scenario is split into enough blocks to give every worker
-one. The study runs serially instead where ``fork`` is unavailable or the
-calling process has more than one thread, since forking a threaded process
-can deadlock the child. Each worker inherits the scenarios' truths, counts,
-calibrated priors and score groups from the parent and receives only
-(scenario, first, stop) block bounds, so nothing but the small per-block
-metrics crosses a process boundary. On Linux a worker is sent SIGTERM when
-its parent dies, so a parent killed by a signal leaves no worker behind.
-Workers keep SIGINT blocked, so a Ctrl-C reaches the parent alone, which
-ends them.
+The blocks are sized only to bound the study's peak memory (_BLOCK_CELLS);
+the split changes no result.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import signal
-import sys
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -303,7 +289,6 @@ class StudyConfig:
     )
     seed: int = 20260808
     n_states: int = 10
-    n_workers: int = 1
     state_targets_from_truth: bool = False
     # when set, the generated scenarios are replaced by replicates of this
     # dataset's populations and (floored) crude rates
@@ -312,8 +297,6 @@ class StudyConfig:
     def __post_init__(self):
         if self.n_replicates < 2:
             raise DomainError("need at least two replicates for bands")
-        if self.n_workers < 1:
-            raise DomainError("n_workers must be at least 1")
 
 
 def truth_from_dataset(data: CountDataset) -> GroundTruth:
@@ -484,49 +467,6 @@ def _scenario_case(config: StudyConfig, scenario_idx: int, label: str,
                  RngStream(config.seed).child_ids(scenario_idx, np.arange(n_reps), 1))
 
 
-# (config, cases) inside a forked worker; set by _install_study, never in
-# the parent process
-_WORKER_STUDY = None
-
-
-_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
-
-
-def _install_study(parent_pid: int, config: StudyConfig, cases: list) -> None:
-    global _WORKER_STUDY
-    _WORKER_STUDY = (config, cases)
-    # a worker blocks on the pool's call queue, whose write end its siblings
-    # also hold, so it would outlive a parent killed by a signal; have the
-    # kernel end it with the parent instead, whatever handler the parent set
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if sys.platform.startswith("linux"):
-        import ctypes
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
-        if os.getppid() != parent_pid:  # the parent died before the prctl
-            os._exit(1)
-
-
-def _block_task(block: tuple[int, int, int]) -> np.ndarray:
-    return _block_metrics(*_WORKER_STUDY, block)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_count(config: StudyConfig) -> int:
-    """Processes to run the study in. More than one means forked workers,
-    never more than there are usable CPUs, and only from a single-threaded
-    process."""
-    if config.n_workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            return min(config.n_workers, _usable_cpus())
-    return 1
-
-
 # cap on a block's replicates x budgets x groups, the size of each of its
 # lane matrices: 64 kB of floats keeps the study's peak memory where the
 # per-replicate study had it (8 MB blocks added 5 MB to a 56 MB process),
@@ -534,64 +474,22 @@ def _worker_count(config: StudyConfig) -> int:
 _BLOCK_CELLS = 1 << 13
 
 
-def _replicate_blocks(n_scenarios: int, n_replicates: int, lane_cells: int,
-                      n_procs: int) -> list[tuple[int, int, int]]:
+def _replicate_blocks(n_scenarios: int, n_replicates: int,
+                      lane_cells: int) -> list[tuple[int, int, int]]:
     """(scenario, start, stop) blocks covering every replicate once, in
-    order. Each scenario is split into the same number of balanced blocks:
-    enough that every one of ``n_procs`` processes gets one while there are
-    replicates to share, and more where a block would pass _BLOCK_CELLS;
+    order. Each scenario is split into the fewest balanced blocks that keep
+    every block of more than one replicate within _BLOCK_CELLS;
     ``lane_cells`` is budgets x groups, one replicate's share."""
     max_size = max(1, _BLOCK_CELLS // lane_cells)
-    per_scenario = min(n_replicates, max(-(-n_procs // n_scenarios),
-                                         -(-n_replicates // max_size)))
+    per_scenario = -(-n_replicates // max_size)
     return [(s, n_replicates * i // per_scenario, n_replicates * (i + 1) // per_scenario)
             for s in range(n_scenarios) for i in range(per_scenario)]
 
 
-def _map_blocks(config: StudyConfig, cases: list[_Case], blocks: list[tuple[int, int, int]],
-                n_procs: int) -> list[np.ndarray]:
-    """Metrics of each block, in block order, from ``n_procs`` processes at
-    most; more than one means a pool of forked workers."""
-    n_procs = min(n_procs, len(blocks))
-    if n_procs == 1:
-        return [_block_metrics(config, cases, block) for block in blocks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # fork, not spawn: a spawned worker re-imports numpy and this package
-    # (about 0.35 s each), and the study state would be pickled to it.
-    # The executor forks every worker on the first submit, from this thread
-    # and before it starts threads of its own.
-    with ProcessPoolExecutor(max_workers=n_procs,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_study,
-                             initargs=(os.getpid(), config, cases)) as pool:
-        try:
-            # a SIGINT handled inside submit can leave one of the executor's
-            # locks held, and its teardown would then wait on its manager
-            # thread forever: hold the signal back until every block is
-            # queued. The workers, forked in the first submit, and the
-            # executor's threads keep it blocked, so it reaches this thread
-            # alone.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                futures = [pool.submit(_block_task, block) for block in blocks]
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            return [future.result() for future in futures]
-        except KeyboardInterrupt:
-            # the executor's teardown would wait for every queued block: end
-            # the workers first
-            for worker in pool._processes.values():
-                worker.terminate()
-            raise
-
-
 def run_study(config: StudyConfig) -> list[StudyResult]:
     """Run every scenario and return one result row per
-    (scenario, method, epsilon). Deterministic for a fixed config seed,
-    independent of n_workers. With n_workers > 1 the replicate blocks run in
-    forked processes only if the caller is single-threaded (one Python
-    thread); otherwise they run serially, with the same results."""
+    (scenario, method, epsilon). Deterministic for a fixed config seed; the
+    replicate blocks run one after another in this process."""
     if config.ingested is not None:
         truths = [("ingested", truth_from_dataset(config.ingested),
                    config.ingested.total)]
@@ -602,10 +500,9 @@ def run_study(config: StudyConfig) -> list[StudyResult]:
     cases = [_scenario_case(config, scenario_idx, label, truth, y_total)
              for scenario_idx, (label, truth, y_total) in enumerate(truths)]
 
-    n_procs = _worker_count(config)
     blocks = _replicate_blocks(len(cases), config.n_replicates,
-                               len(config.epsilons) * cases[0].truth.populations.size, n_procs)
-    per_block = _map_blocks(config, cases, blocks, n_procs)
+                               len(config.epsilons) * cases[0].truth.populations.size)
+    per_block = [_block_metrics(config, cases, block) for block in blocks]
 
     columns = [(eps, method) for eps in config.epsilons for method in _METHODS]
     results = []

@@ -157,6 +157,18 @@ class TestAuditCommand:
                         "--target-rates", "0.8,0.25", "--output", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("epsilon", ["18", "40", "709.78"])
+    def test_pg_audit_at_large_budgets(self, tmp_path, epsilon, capsys):
+        # the calibrated a is tiny here: the cancelled route must keep it
+        # where z + y = 1, or the two routes disagree (at 709.78, log(0))
+        out = tmp_path / "audit.json"
+        code = run_cli(["audit", "--method", "pg2", "--epsilon", epsilon,
+                        "--y-total", "4", "--populations", "1,4",
+                        "--target-rates", "0.8,0.25", "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["result"]["satisfied"] is True
+
     def test_pg_exact_route(self, tmp_path):
         out = tmp_path / "audit.json"
         code = run_cli(["audit", "--method", "pg2", "--epsilon", "2.0",

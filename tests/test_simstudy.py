@@ -1,12 +1,4 @@
-import concurrent.futures
 import math
-import os
-import signal
-import subprocess
-import sys
-import threading
-import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,33 +174,18 @@ class TestRunStudy:
         for row in results:
             assert row.rmse_lo <= row.rmse_mean <= row.rmse_hi
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_study(self._config(n_workers=1))
-        forked = run_study(self._config(n_workers=3))
-        assert serial == forked
-
-    def test_ingested_study_equal_across_worker_counts(self):
-        data = CountDataset.from_counts(
-            [12, 20, 30, 38, 5, 9], [1e4, 1e4, 3e4, 3e4, 2e4, 5e3],
-            state_ids=["a", "a", "b", "b", "c", "c"])
-        config = StudyConfig(n_replicates=6, epsilons=(1.0, 4.0), seed=5,
-                             ingested=data)
-        assert run_study(config) == run_study(replace(config, n_workers=2))
-
     @staticmethod
     def _fail_block_checks(monkeypatch):
         # the posterior draws' argument checks run in the replicate blocks,
-        # i.e. inside workers; the calibrations run in the parent
+        # after the calibrations
         def failing(*args):
-            raise InfeasibleBudgetError(f"raised in process {os.getpid()}")
+            raise InfeasibleBudgetError("raised in a replicate block")
         monkeypatch.setattr(simstudy, "_check_gamma_args", failing)
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         self._fail_block_checks(monkeypatch)
-        with pytest.raises(InfeasibleBudgetError) as err:
-            run_study(self._config(n_workers=2))
-        if len(os.sched_getaffinity(0)) > 1:
-            assert str(err.value) != f"raised in process {os.getpid()}"
+        with pytest.raises(InfeasibleBudgetError, match="raised in a replicate block"):
+            run_study(self._config())
 
     def test_worker_error_exit_code(self, monkeypatch, tmp_path):
         self._fail_block_checks(monkeypatch)
@@ -217,45 +194,13 @@ class TestRunStudy:
                 "--workers", "2", "--output", str(tmp_path / "study.csv")]
         assert run(config_from_args(argv)) == 2
 
-    @staticmethod
-    def _record_pool_sizes(monkeypatch) -> list:
-        sizes = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kw):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kw)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        return sizes
-
-    def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
-        sizes = self._record_pool_sizes(monkeypatch)
-        cpus = len(os.sched_getaffinity(0))
-        serial = run_study(self._config(n_workers=1))
-        assert run_study(self._config(n_workers=1000)) == serial
-        assert sizes == ([min(cpus, 2 * 6)] if cpus > 1 else [])
-
-    def test_threaded_caller_runs_serially(self, monkeypatch):
-        sizes = self._record_pool_sizes(monkeypatch)
-        serial = run_study(self._config(n_workers=1))
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            threaded = run_study(self._config(n_workers=2))
-        finally:
-            release.set()
-            other.join()
-        assert threaded == serial
-        assert sizes == []
-
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_worker_count_floor(self, workers, tmp_path):
-        with pytest.raises(DomainError):
-            self._config(n_workers=workers)
+    def test_worker_count_floor(self, workers, tmp_path, capsys):
         argv = ["simulate", "--workers", str(workers),
                 "--output", str(tmp_path / "study.csv")]
         assert run(config_from_args(argv)) == 3
+        assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+        assert not (tmp_path / "study.csv").exists()
 
     def test_state_targets_help_on_heterogeneous_rates(self):
         config = self._config(
@@ -296,49 +241,43 @@ class TestRunStudy:
         with pytest.raises(UsageError):
             truth_from_dataset(data)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block_reps", [None, 1, 3], ids=["default", "cap-1", "cap-3"])
-    def test_results_do_not_depend_on_the_block_split(self, workers, block_reps,
-                                                      monkeypatch):
+    def test_results_do_not_depend_on_the_block_split(self, block_reps, monkeypatch):
         # 7 replicates, which neither 3-replicate blocks nor a split in two divide
         config = self._config(n_replicates=7)
         reference = run_study(config)
         if block_reps is not None:
             # caps a block at block_reps replicates of 2 budgets x 24 groups
             monkeypatch.setattr(simstudy, "_BLOCK_CELLS", block_reps * 2 * 24)
-        assert run_study(replace(config, n_workers=workers)) == reference
+        assert run_study(config) == reference
 
-    @pytest.mark.parametrize("n_scenarios,n_reps,lane_cells,n_procs", [
-        (4, 8, 1000, 1), (4, 8, 1000, 2), (4, 50, 1000, 1), (1, 7, 10, 3),
-        (2, 6, 10, 16), (3, 5, 1 << 14, 2), (1, 10, 10, 8), (2, 6, 10, 8),
-        (1, 200, 1000, 3)])
-    def test_blocks_cover_every_replicate_once(self, n_scenarios, n_reps, lane_cells,
-                                               n_procs):
-        blocks = simstudy._replicate_blocks(n_scenarios, n_reps, lane_cells, n_procs)
+    @pytest.mark.parametrize("n_scenarios,n_reps,lane_cells", [
+        (4, 8, 1000), (4, 50, 1000), (1, 7, 10), (2, 6, 10), (3, 5, 1 << 14),
+        (1, 10, 10), (1, 200, 1000)])
+    def test_blocks_cover_every_replicate_once(self, n_scenarios, n_reps, lane_cells):
+        blocks = simstudy._replicate_blocks(n_scenarios, n_reps, lane_cells)
         assert [(s, rep) for s, start, stop in blocks for rep in range(start, stop)] == [
             (s, rep) for s in range(n_scenarios) for rep in range(n_reps)]
-        # every process gets a block while there are replicates to share
-        assert len(blocks) >= min(n_procs, n_scenarios * n_reps)
         assert max(stop - start for _, start, stop in blocks) - min(
             stop - start for _, start, stop in blocks) <= 1
         assert all((stop - start) * lane_cells <= simstudy._BLOCK_CELLS or stop - start == 1
                    for _, start, stop in blocks)
-        if n_procs == 1 and n_reps * lane_cells <= simstudy._BLOCK_CELLS:
+        if n_reps * lane_cells <= simstudy._BLOCK_CELLS:
             assert len(blocks) == n_scenarios
 
     @staticmethod
     def _run_by_blocks(monkeypatch, config):
-        """run_study's results, with its replicate blocks run serially through
-        the block function, and each scenario's (metric, column, replicate)
-        series of the values the blocks returned."""
+        """run_study's results, and each scenario's (metric, column, replicate)
+        series of the values its replicate blocks returned."""
         parts = {}
 
-        def serial(config, cases, blocks, n_procs):
-            out = [simstudy._block_metrics(config, cases, block) for block in blocks]
-            for (s_idx, _, _), metrics in zip(blocks, out):
-                parts.setdefault(s_idx, []).append(metrics)
-            return out
-        monkeypatch.setattr(simstudy, "_map_blocks", serial)
+        block_metrics = simstudy._block_metrics
+
+        def recording(config, cases, block):
+            metrics = block_metrics(config, cases, block)
+            parts.setdefault(block[0], []).append(metrics)
+            return metrics
+        monkeypatch.setattr(simstudy, "_block_metrics", recording)
         results = run_study(config)
         return results, {s_idx: np.concatenate(blocks, axis=-1)
                          for s_idx, blocks in parts.items()}
@@ -435,90 +374,6 @@ class TestRunStudy:
         longer = run_study(self._config(epsilons=(1.0, 4.0, 8.0)))
         assert len(longer) == 3 * len(shorter) // 2
         assert [row for row in longer if row.epsilon != 8.0] == shorter
-
-
-def _children(pid: int) -> list[int]:
-    with open(f"/proc/{pid}/task/{pid}/children") as f:
-        return [int(c) for c in f.read().split()]
-
-
-def _running(pid: int) -> bool:
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-def _wait_until(condition, seconds: float) -> bool:
-    deadline = time.monotonic() + seconds
-    while not condition():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.02)
-    return True
-
-
-def _blocked_signals(block):
-    return signal.pthread_sigmask(signal.SIG_BLOCK, [])
-
-
-@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs Linux /proc child lists and two usable CPUs")
-class TestWorkerTeardown:
-    """A `simulate --workers 2` process stopped mid-study leaves no worker
-    process behind."""
-
-    def _start(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(simstudy.__file__))
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        argv = [sys.executable, "-m", "dpcounts.cli", "simulate",
-                "--scenarios", "uniform-uniform", "--n-groups", "50",
-                "--y-total", "500", "--replicates", "8000", "--epsilons", "1",
-                "--workers", "2", "--output", str(tmp_path / "study.csv")]
-        # The child's stderr is kept, so a run that exits 0 shows why. Its
-        # SIGINT starts at the default, as for a job at a terminal: a test run
-        # started in the background of a non-interactive shell ignores
-        # SIGINT, and the child would inherit that and finish its study.
-        with open(tmp_path / "stderr.txt", "wb") as stderr:
-            proc = subprocess.Popen(
-                argv, env=env, start_new_session=True,
-                stdout=subprocess.DEVNULL, stderr=stderr,
-                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
-        if not _wait_until(lambda: len(_children(proc.pid)) == 2, 60):
-            proc.kill()
-            proc.wait()
-            pytest.fail("the study did not start two workers")
-        return proc, _children(proc.pid)
-
-    def test_workers_keep_sigint_blocked(self, monkeypatch):
-        # a SIGINT handled inside the pool's submit could leave one of its
-        # locks held; the workers, forked there, keep the signal blocked
-        monkeypatch.setattr(simstudy, "_block_task", _blocked_signals)
-        masks = simstudy._map_blocks(None, [], [(0, 0, 1), (0, 1, 2)], 2)
-        assert [signal.SIGINT in mask for mask in masks] == [True, True]
-        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
-
-    @pytest.mark.parametrize("stop", ["sigterm-parent", "sigint-group", "sigkill-worker"])
-    def test_no_worker_outlives_the_run(self, stop, tmp_path):
-        proc, workers = self._start(tmp_path)
-        try:
-            if stop == "sigterm-parent":      # a scheduler or timeout
-                os.kill(proc.pid, signal.SIGTERM)
-            elif stop == "sigint-group":      # Ctrl-C at a terminal
-                os.killpg(proc.pid, signal.SIGINT)
-            else:                             # a worker dies: broken pool
-                os.kill(workers[0], signal.SIGKILL)
-            assert proc.wait(60) != 0, \
-                "stderr of the run:\n" + (tmp_path / "stderr.txt").read_text()
-            assert _wait_until(lambda: not any(map(_running, workers)), 10)
-        finally:
-            for pid in [proc.pid, *workers]:
-                if _running(pid):
-                    os.kill(pid, signal.SIGKILL)
-            proc.wait()
 
 
 class TestScenarioValidation:
