@@ -157,7 +157,7 @@ class TestAuditCommand:
                         "--target-rates", "0.8,0.25", "--output", str(out)])
         assert code == 0
 
-    @pytest.mark.parametrize("epsilon", ["18", "40", "709.78"])
+    @pytest.mark.parametrize("epsilon", ["18", "40", "200", "700", "709.78"])
     def test_pg_audit_at_large_budgets(self, tmp_path, epsilon, capsys):
         # the calibrated a is tiny here: the cancelled route must keep it
         # where z + y = 1, or the two routes disagree (at 709.78, log(0))

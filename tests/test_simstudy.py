@@ -1,10 +1,13 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import dpcounts.cli as cli
 import dpcounts.simstudy as simstudy
-from dpcounts.cli import config_from_args, run
+from dpcounts.cli import config_from_args, run, write_counts
 from dpcounts.core import CountDataset, PriorSpec, RngStream
 from dpcounts.dirichlet_mult import calibrate_md
 from dpcounts.errors import DomainError, InfeasibleBudgetError, UsageError
@@ -159,6 +162,10 @@ class TestRegionContrast:
             region_contrast(est, [0, 1], [1, 2], np.ones(4))
 
 
+def _no_fork():
+    raise AssertionError("the study started a process")
+
+
 class TestRunStudy:
     def _config(self, **kw):
         base = dict(n_groups=24, y_total=120, n_total=2.4e5, n_replicates=6,
@@ -168,11 +175,61 @@ class TestRunStudy:
         base.update(kw)
         return StudyConfig(**base)
 
+    @staticmethod
+    def _simulate_rows(monkeypatch, tmp_path, argv) -> list:
+        """The rows run_study returns inside a `simulate` command line,
+        which must start no process."""
+        rows = []
+
+        def recording(config):
+            rows.extend(run_study(config))
+            return rows
+        monkeypatch.setattr(cli, "run_study", recording)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        argv = ["simulate", *argv, "--output", str(tmp_path / "study.csv")]
+        assert run(config_from_args(argv)) == 0
+        return rows
+
     def test_row_count_and_bands(self):
         results = run_study(self._config())
         assert len(results) == 2 * 2 * 3
         for row in results:
             assert row.rmse_lo <= row.rmse_mean <= row.rmse_hi
+
+    def test_worker_count_does_not_change_results(self, monkeypatch, tmp_path):
+        argv = ["--scenarios", "uniform-uniform,hetero-n", "--n-groups", "24",
+                "--y-total", "120", "--replicates", "6", "--epsilons", "1,4",
+                "--seed", "99"]
+        serial = self._simulate_rows(monkeypatch, tmp_path, argv + ["--workers", "1"])
+        assert len(serial) == 2 * 2 * 3
+        for workers in ["3", "1000"]:
+            assert self._simulate_rows(monkeypatch, tmp_path,
+                                       argv + ["--workers", workers]) == serial
+
+    def test_ingested_study_equal_across_worker_counts(self, monkeypatch, tmp_path):
+        data = CountDataset.from_counts(
+            [12, 20, 30, 38, 5, 9], [1e4, 1e4, 3e4, 3e4, 2e4, 5e3],
+            state_ids=["a", "a", "b", "b", "c", "c"])
+        write_counts(data, tmp_path / "counts.csv")
+        argv = ["--input", str(tmp_path / "counts.csv"), "--replicates", "6",
+                "--epsilons", "1,4", "--seed", "5"]
+        serial = self._simulate_rows(monkeypatch, tmp_path, argv + ["--workers", "1"])
+        assert {row.scenario for row in serial} == {"ingested"}
+        assert self._simulate_rows(monkeypatch, tmp_path,
+                                   argv + ["--workers", "2"]) == serial
+
+    def test_threaded_caller_runs_serially(self, monkeypatch):
+        serial = run_study(self._config())
+        monkeypatch.setattr(os, "fork", _no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = run_study(self._config())
+        finally:
+            release.set()
+            other.join()
+        assert threaded == serial
 
     @staticmethod
     def _fail_block_checks(monkeypatch):
@@ -241,20 +298,31 @@ class TestRunStudy:
         with pytest.raises(UsageError):
             truth_from_dataset(data)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block_reps", [None, 1, 3], ids=["default", "cap-1", "cap-3"])
-    def test_results_do_not_depend_on_the_block_split(self, block_reps, monkeypatch):
+    def test_results_do_not_depend_on_the_block_split(self, workers, block_reps,
+                                                      monkeypatch, tmp_path):
         # 7 replicates, which neither 3-replicate blocks nor a split in two divide
-        config = self._config(n_replicates=7)
-        reference = run_study(config)
+        argv = ["--scenarios", "uniform-uniform,hetero-n", "--n-groups", "24",
+                "--y-total", "120", "--replicates", "7", "--epsilons", "1,4",
+                "--seed", "99"]
+        reference = self._simulate_rows(monkeypatch, tmp_path, argv)
         if block_reps is not None:
             # caps a block at block_reps replicates of 2 budgets x 24 groups
             monkeypatch.setattr(simstudy, "_BLOCK_CELLS", block_reps * 2 * 24)
-        assert run_study(config) == reference
+        assert self._simulate_rows(monkeypatch, tmp_path,
+                                   argv + ["--workers", str(workers)]) == reference
 
-    @pytest.mark.parametrize("n_scenarios,n_reps,lane_cells", [
-        (4, 8, 1000), (4, 50, 1000), (1, 7, 10), (2, 6, 10), (3, 5, 1 << 14),
-        (1, 10, 10), (1, 200, 1000)])
-    def test_blocks_cover_every_replicate_once(self, n_scenarios, n_reps, lane_cells):
+    @pytest.mark.parametrize("n_scenarios,n_reps,lane_cells,cap_reps", [
+        (4, 8, 1000, 1), (4, 8, 1000, 2), (4, 50, 1000, 1), (1, 7, 10, 3),
+        (2, 6, 10, 16), (3, 5, 1 << 14, 2), (1, 10, 10, 8), (2, 6, 10, 8),
+        (1, 200, 1000, 3), (4, 50, 1000, None), (3, 5, 1 << 14, None),
+        (1, 200, 1000, None)])
+    def test_blocks_cover_every_replicate_once(self, n_scenarios, n_reps, lane_cells,
+                                               cap_reps, monkeypatch):
+        # cap_reps caps a block at that many replicates; None keeps _BLOCK_CELLS
+        if cap_reps is not None:
+            monkeypatch.setattr(simstudy, "_BLOCK_CELLS", cap_reps * lane_cells)
         blocks = simstudy._replicate_blocks(n_scenarios, n_reps, lane_cells)
         assert [(s, rep) for s, start, stop in blocks for rep in range(start, stop)] == [
             (s, rep) for s in range(n_scenarios) for rep in range(n_reps)]
@@ -264,6 +332,10 @@ class TestRunStudy:
                    for _, start, stop in blocks)
         if n_reps * lane_cells <= simstudy._BLOCK_CELLS:
             assert len(blocks) == n_scenarios
+        # the fewest blocks: one block fewer per scenario would pass the cap
+        per_scenario = len(blocks) // n_scenarios
+        assert per_scenario == 1 or (
+            (per_scenario - 1) * max(1, simstudy._BLOCK_CELLS // lane_cells) < n_reps)
 
     @staticmethod
     def _run_by_blocks(monkeypatch, config):
