@@ -9,7 +9,11 @@ the worst entry off it. The float routes compute every ratio two independent
 ways: the cancelled closed form, and log pmf differences read off one
 (dataset x allocation) call of core's shared allocation kernel. For integer
 prior strengths the exact route forms each ratio as a reduced integer
-fraction of exact normalizers and logs it at the end.
+fraction of exact normalizers and logs it at the end. It reduces each
+neighbor pair's normalizer ratio once and multiplies each entry's small
+factor into it through gcds of one big and one small integer; since a
+fraction has one lowest-terms form, the logged integers are those of one
+full gcd per entry.
 """
 
 from __future__ import annotations
@@ -136,13 +140,24 @@ def _pg2_table(a, b, n, y_total: int) -> np.ndarray:
 
 
 def _pg2_exact_table(a_int, b, n, y_total: int) -> np.ndarray:
-    """Exact rational ratios, each reduced in integers and logged only at
-    the end."""
-    a_int = [int(v) for v in np.asarray(a_int)]
+    """Exact rational ratios, each in lowest terms and logged only at the end.
+
+    Each neighbor pair's normalizer ratio C(x)/C(y) is reduced once, as one
+    Fraction division, to a coprime num/den. Each entry's small factor
+    top/bottom = (z_dec + y_dec + a_dec - 1)/(z_inc + y_inc + a_inc) is
+    reduced by its own gcd and then multiplied in through the two cross gcds
+    gcd(num, bottom) and gcd(top, den) (Knuth, TAOCP vol. 2, 4.5.1), each of
+    a big and a small integer. A fraction has one lowest-terms form, so the
+    integers logged are those a full gcd of num*top and den*bottom gives.
+    """
+    a_int = np.asarray(a_int)
     b_frac = [Fraction(float(v)) for v in np.asarray(b, dtype=np.float64)]
     n_frac = [Fraction(float(v)) for v in np.asarray(n, dtype=np.float64)]
     if len(a_int) != 2 or len(b_frac) != 2 or len(n_frac) != 2:
         raise UsageError("exhaustive audit runs on two groups")
+    if not all(float(v).is_integer() for v in a_int):
+        raise DomainError("exact audit requires integer a")
+    a_int = [int(v) for v in a_int]
     if min(a_int) < 1:
         raise DomainError("exact audit requires integer a >= 1")
     r1 = (b_frac[1] / n_frac[1] + 2) / (b_frac[0] / n_frac[0] + 2)
@@ -153,16 +168,17 @@ def _pg2_exact_table(a_int, b, n, y_total: int) -> np.ndarray:
     for y, x in enumerate_neighbors(y_total):
         dec = int(x[0] > y[0])
         inc = 1 - dec
-        # C(x) / C(y) times (z_dec + y_dec + a_dec - 1) / (z_inc + y_inc + a_inc)
-        c_x, c_y = normalizer[x[0]], normalizer[y[0]]
-        num = c_x.numerator * c_y.denominator
-        den = c_x.denominator * c_y.numerator
+        ratio = normalizer[x[0]] / normalizer[y[0]]
+        num, den = ratio.numerator, ratio.denominator
         row = []
         for z in allocations:
-            top = num * (z[dec] + y[dec] + a_int[dec] - 1)
-            bottom = den * (z[inc] + y[inc] + a_int[inc])
-            gcd = math.gcd(top, bottom)
-            row.append(math.log(top // gcd) - math.log(bottom // gcd))
+            top = z[dec] + y[dec] + a_int[dec] - 1
+            bottom = z[inc] + y[inc] + a_int[inc]
+            g = math.gcd(top, bottom)
+            top, bottom = top // g, bottom // g
+            g_num, g_den = math.gcd(num, bottom), math.gcd(top, den)
+            row.append(math.log(num // g_num * (top // g_den))
+                       - math.log(den // g_den * (bottom // g_num)))
         table.append(row)
     return np.array(table)
 
@@ -174,7 +190,9 @@ def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
 
     ``mechanism`` is 'md' (needs alpha) or 'pg2' (needs a, b, populations).
     ``exact=True`` switches the pg2 route to arbitrary-precision rationals,
-    which requires integer a. Totals above the enumeration cap are refused.
+    which requires integer a (integral floats such as 3.0 count); any other
+    a is refused with DomainError. Totals above the enumeration cap are
+    refused.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")

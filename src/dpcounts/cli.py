@@ -37,6 +37,7 @@ from .poisson_gamma import (
     SynthesisStrategy,
     TargetRule,
     calibrate_pg,
+    integer_prior_strength,
     pg_synthesize,
     sanitize_state_rates,
 )
@@ -341,6 +342,8 @@ def _cmd_synthesize(config: RunConfig) -> int:
 
 def _cmd_audit(config: RunConfig) -> int:
     if config.method == "md":
+        if config.exact:
+            raise UsageError("--exact applies to --method pg2 only")
         if config.alpha is not None:
             alpha = _parse_vector(config.alpha, "alpha")
             if alpha.size == 1:
@@ -361,8 +364,11 @@ def _cmd_audit(config: RunConfig) -> int:
         else:
             counts = np.array([config.y_total, 0])
             data = CountDataset.from_counts(counts, populations)
-            a = calibrate_pg(config.epsilon, data, target_rates=targets,
-                             rule=TargetRule.CUSTOM).a_min
+            cal = calibrate_pg(config.epsilon, data, target_rates=targets,
+                               rule=TargetRule.CUSTOM)
+            # the exact route audits the calibrated strength rounded up to
+            # integers, the mechanism it can represent
+            a = integer_prior_strength(cal, populations) if config.exact else cal.a_min
         b = a / targets
         report = audit_synthesizer("pg2", config.epsilon, config.y_total,
                                    a=a, b=b, populations=populations,
@@ -566,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--populations", help="PG populations (pair)")
     aud.add_argument("--target-rates", dest="target_rates")
     aud.add_argument("--exact", action="store_true",
-                     help="exact rational arithmetic (integer a only)")
+                     help="pg2 only: exact rational arithmetic, which needs "
+                          "integer a; without --a, the calibrated strength is "
+                          "rounded up to integers"),
     _add_common(aud)
 
     sim = sub("simulate", "run the four-scenario utility study")

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpcounts.audit as audit_module
 from dpcounts.audit import (
@@ -129,9 +131,62 @@ class TestAuditPg:
             audit_synthesizer("pg2", 1.0, 2, a=[0, 1], b=[1.0, 1.0],
                               populations=[1.0, 1.0], exact=True)
 
+    @pytest.mark.parametrize("a", [[2.9, 2.9], [3.0, 2.5], [3.0, math.nan]])
+    def test_exact_route_refuses_fractional_strengths(self, a):
+        with pytest.raises(DomainError, match="integer a"):
+            audit_synthesizer("pg2", 1.0, 4, a=a, b=[1.0, 1.0],
+                              populations=[1.0, 1.0], exact=True)
+
+    def test_exact_route_takes_integral_floats(self):
+        params = dict(b=[1.5, 4.0], populations=[1.0, 2.0], exact=True)
+        assert (audit_synthesizer("pg2", 1.0, 4, a=[3.0, 2.0], **params)
+                == audit_synthesizer("pg2", 1.0, 4, a=[3, 2], **params))
+
     def test_missing_params(self):
         with pytest.raises(UsageError):
             audit_synthesizer("pg2", 1.0, 2, a=[1.0, 1.0])
+
+
+def _per_entry_exact_table(a, b, n, y_total):
+    """The exact pg2 table with the normalizer ratio left unreduced and one
+    full gcd of num*top and den*bottom per entry."""
+    b_frac = [Fraction(float(v)) for v in b]
+    n_frac = [Fraction(float(v)) for v in n]
+    r1 = (b_frac[1] / n_frac[1] + 2) / (b_frac[0] / n_frac[0] + 2)
+    allocations = [(z1, y_total - z1) for z1 in range(y_total + 1)]
+    normalizer = [exact_normalizer(data, a, r1, y_total) for data in allocations]
+    table = []
+    for y, x in enumerate_neighbors(y_total):
+        dec = int(x[0] > y[0])
+        inc = 1 - dec
+        c_x, c_y = normalizer[x[0]], normalizer[y[0]]
+        num = c_x.numerator * c_y.denominator
+        den = c_x.denominator * c_y.numerator
+        row = []
+        for z in allocations:
+            top = num * (z[dec] + y[dec] + a[dec] - 1)
+            bottom = den * (z[inc] + y[inc] + a[inc])
+            gcd = math.gcd(top, bottom)
+            row.append(math.log(top // gcd) - math.log(bottom // gcd))
+        table.append(row)
+    return np.array(table)
+
+
+_DECADES = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
+                     allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+       b=st.tuples(_DECADES, _DECADES), n=st.tuples(_DECADES, _DECADES),
+       y_total=st.integers(1, 12))
+def test_exact_table_equals_the_per_entry_reduction(a, b, n, y_total):
+    # the pair's ratio reduced once, then each small factor multiplied in
+    # through cross gcds, reaches the same lowest terms as one full gcd per
+    # entry, so every logged integer and every table value is the same
+    table = audit_module._pg2_exact_table(list(a), list(b), list(n), y_total)
+    reference = _per_entry_exact_table(a, b, n, y_total)
+    assert np.array_equal(table, reference)
 
 
 class TestAuditReport:

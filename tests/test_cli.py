@@ -176,6 +176,33 @@ class TestAuditCommand:
                         "--target-rates", "1,1", "--exact", "--output", str(out)])
         assert code == 0
 
+    def test_pg_exact_audits_the_rounded_up_calibrated_strength(self, tmp_path):
+        # the README example: the calibrated a = 2.67 is audited at a = 3,
+        # and the file records the strength that was audited
+        out = tmp_path / "audit.json"
+        code = run_cli(["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4",
+                        "--populations", "1,4", "--target-rates", "0.8,0.25",
+                        "--exact", "--output", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())["result"]
+        assert doc["satisfied"] is True
+        assert doc["max_abs_log_ratio"] == pytest.approx(0.9015956378104164, abs=1e-12)
+        assert doc["params"]["a"] == [3.0, 3.0]
+        assert doc["params"]["b"] == [3.75, 12.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "pg2", "--populations", "1,4", "--target-rates", "0.8,0.25",
+         "--a", "2.9,2.9"],
+        ["--method", "md"],
+    ], ids=["pg2-fractional-a", "md"])
+    def test_exact_refusals_exit_three_and_write_nothing(self, tmp_path, argv, capsys):
+        out = tmp_path / "audit.json"
+        code = run_cli(["audit", "--epsilon", "1", "--y-total", "4", "--exact",
+                        "--output", str(out)] + argv)
+        assert code == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestSynthesizeCommand:
     def test_md_release_set(self, tmp_path, counts_file):
