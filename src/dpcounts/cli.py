@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from .audit import audit_synthesizer, bound_accuracy_sweep, default_bound_grid
 from .core import CountDataset, PriorSpec, RngStream
-from .dirichlet_mult import calibrate_md, md_synthesize
+from .dirichlet_mult import calibrate_md, md_releases
 from .errors import CsvParseError, DpcountsError, InfeasibleBudgetError, UsageError
 from .exact_math import check_convolution_identity
 from .poisson_gamma import (
@@ -38,7 +39,7 @@ from .poisson_gamma import (
     TargetRule,
     calibrate_pg,
     integer_prior_strength,
-    pg_synthesize,
+    pg_releases,
     sanitize_state_rates,
 )
 from .simstudy import PopMode, RateMode, StudyConfig, run_study
@@ -146,12 +147,24 @@ def ingest_counts(path) -> CountDataset:
                                     state_ids=state_ids)
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV field, as csv's QUOTE_MINIMAL writes it: in double
+    quotes, each quote doubled, when it holds a comma, a quote or a line
+    break; unchanged otherwise."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_counts(dataset: CountDataset, path) -> None:
     lines = [",".join(COUNTS_HEADER)]
     states = dataset.state_ids or [""] * dataset.n_groups
     for gid, sid, pop, count in zip(dataset.group_ids, states,
                                     dataset.populations, dataset.counts):
-        lines.append(f"{gid},{sid},{float(pop)!r},{int(count)}")
+        lines.append(f"{_csv_cell(gid)},{_csv_cell(sid)},{float(pop)!r},{int(count)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -171,16 +184,38 @@ def _meta(config: RunConfig) -> dict:
             "config": _config_payload(config)}
 
 
-def _write_json(path, config: RunConfig, payload: dict) -> None:
+def _write_files(*files) -> None:
+    """Write each (path, text) pair as UTF-8 under a temporary name in the
+    path's directory, then rename the files into place in the order given.
+    If a step fails, the temporary files are removed and no later file is
+    renamed, so a command that fails never leaves a file half written, and
+    a file renamed before its companions (a table's sidecar) is never
+    missing beside them."""
+    temps = []
+    try:
+        for path, text in files:
+            path = Path(path)
+            temp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+            with temp.open("x", encoding="utf-8") as handle:
+                temps.append(temp)
+                handle.write(text)
+        for (path, _), temp in zip(files, temps):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
+def _json_text(config: RunConfig, payload: dict) -> str:
     doc = {"meta": _meta(config), "result": payload}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_table(path, config: RunConfig, header: list[str], body: list[str]) -> None:
-    """Write a long-format CSV table as UTF-8 text.
+def _table_text(config: RunConfig, header: list[str], body: list[str]) -> str:
+    """A long-format CSV table.
 
-    The bytes are three comment lines, ``# tool_version=<version>``,
+    The text is three comment lines, ``# tool_version=<version>``,
     ``# seed=<seed>`` and ``# config=<effective config as JSON with sorted
     keys>``, then the header cells joined by commas, then ``body``; every line
     ends in a single ``\\n``. Each item of ``body`` is already formatted: one
@@ -191,7 +226,7 @@ def _write_table(path, config: RunConfig, header: list[str], body: list[str]) ->
              f"# config={json.dumps(_config_payload(config), sort_keys=True)}",
              ",".join(header),
              *body]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _format_row(cells) -> str:
@@ -199,11 +234,21 @@ def _format_row(cells) -> str:
     return ",".join("" if cell is None else str(cell) for cell in cells)
 
 
-def _release_block(group_ids, replicate: int, counts: np.ndarray) -> str:
-    """One replicate of a synthesize table: a ``group_id,replicate,z`` row
-    per group, in input order."""
-    tail = f",{replicate},"
-    return "\n".join([gid + tail + str(z) for gid, z in zip(group_ids, counts.tolist())])
+def _release_table(group_ids, counts: np.ndarray) -> list[str]:
+    """The body of a synthesize table from its (m, I) count matrix, one block
+    per replicate: a ``group_id,replicate,z`` row per group, in input order.
+    Each id is quoted once and each distinct count formatted once; a block
+    is one join over an interleave of them."""
+    values, index = np.unique(counts, return_inverse=True)
+    digits = np.array([f"{z}\n" for z in values.tolist()], dtype=object)
+    cells = np.empty((counts.shape[1], 3), dtype=object)
+    cells[:, 0] = [_csv_cell(gid) + "," for gid in group_ids]
+    blocks = []
+    for replicate, row in enumerate(index.reshape(counts.shape)):
+        cells[:, 1] = f"{replicate},"
+        cells[:, 2] = digits[row]
+        blocks.append("".join(cells.ravel().tolist())[:-1])  # drop the last newline
+    return blocks
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
@@ -250,12 +295,12 @@ def _cmd_calibrate(config: RunConfig) -> int:
         else:
             raise UsageError("md calibration requires --z-total or --input")
         cal = calibrate_md(config.epsilon, z_total)
-        _write_json(config.output_path, config, {
+        _write_files((config.output_path, _json_text(config, {
             "method": "md",
             "epsilon": cal.epsilon,
             "z_total": cal.z_total,
             "alpha_min": cal.alpha_min,
-        })
+        })))
         return 0
     if config.method in ("pg-national", "pg-state", "pg-custom"):
         if config.input_path is None:
@@ -266,7 +311,7 @@ def _cmd_calibrate(config: RunConfig) -> int:
                               "pg-custom": "custom"}[config.method]
         targets, rule = _pg_targets(config, data, rng)
         cal = calibrate_pg(config.epsilon, data, target_rates=targets, rule=rule)
-        _write_json(config.output_path, config, {
+        _write_files((config.output_path, _json_text(config, {
             "method": config.method,
             "epsilon": cal.epsilon,
             "z_total": cal.z_total,
@@ -277,7 +322,7 @@ def _cmd_calibrate(config: RunConfig) -> int:
             "target_rates": [float(v) for v in cal.target_rates],
             "iterations": cal.iterations,
             "converged": cal.converged,
-        })
+        })))
         return 0
     raise UsageError(f"unknown calibrate method {config.method!r}")
 
@@ -287,13 +332,13 @@ def _cmd_synthesize(config: RunConfig) -> int:
         raise UsageError("--m must be at least 1")
     data = ingest_counts(config.input_path)
     rng = RngStream(config.seed)
+    # release k is drawn on stream (100, k), through rng re-keyed to each
+    stream_ids = rng.child_ids(100, np.arange(config.m_datasets))
     noise_epsilon = 0.0  # the budget of noised state targets, if any
     if config.method == "md":
         alpha_min = calibrate_md(config.epsilon, data.total).alpha_min
         prior = PriorSpec.multinomial_dirichlet(np.full(data.n_groups, alpha_min))
-
-        def draw(stream):
-            return md_synthesize(data, prior, stream)
+        counts, provenance = md_releases(data, prior, rng, stream_ids)
     elif config.method in ("pg-exact2", "pg-multinomial"):
         targets, rule = _pg_targets(config, data, rng.child(8))
         if rule is TargetRule.STATE_AVERAGE:
@@ -307,18 +352,11 @@ def _cmd_synthesize(config: RunConfig) -> int:
         prior = cal.prior()
         strategy = (SynthesisStrategy.EXACT_PAIR if config.method == "pg-exact2"
                     else SynthesisStrategy.LAMBDA_MULTINOMIAL)
-
-        def draw(stream):
-            return pg_synthesize(data, prior, strategy, stream)
+        counts, provenance = pg_releases(data, prior, strategy, rng, stream_ids)
     else:
         raise UsageError(f"unknown synthesize method {config.method!r}")
-    blocks = []
-    for m in range(config.m_datasets):
-        synth = draw(rng.child(100, m))
-        blocks.append(_release_block(data.group_ids, m, synth.counts))
-    provenance = synth.provenance
-    _write_table(config.output_path, config, ["group_id", "replicate", "z"], blocks)
-    sidecar = Path(config.output_path).with_suffix(".provenance.json")
+    table = _table_text(config, ["group_id", "replicate", "z"],
+                        _release_table(data.group_ids, counts))
     # The m releases are m draws from the same data, and the noised state
     # totals are released through the prior: by basic sequential composition
     # the file costs their sum. Moving one event changes two state totals by
@@ -326,7 +364,7 @@ def _cmd_synthesize(config: RunConfig) -> int:
     formula = "m_datasets * epsilon_certified"
     if noise_epsilon:
         formula += " + 2 * state_noise_epsilon"
-    _write_json(sidecar, config, {
+    sidecar = _json_text(config, {
         "method": provenance.method,
         "strategy": provenance.strategy,
         "epsilon_certified": provenance.epsilon,
@@ -337,6 +375,9 @@ def _cmd_synthesize(config: RunConfig) -> int:
         "m_datasets": config.m_datasets,
         "total": data.total,
     })
+    # the sidecar is renamed into place first: no table without provenance
+    _write_files((Path(config.output_path).with_suffix(".provenance.json"), sidecar),
+                 (config.output_path, table))
     return 0
 
 
@@ -377,7 +418,7 @@ def _cmd_audit(config: RunConfig) -> int:
                   "populations": [float(v) for v in populations]}
     else:
         raise UsageError(f"unknown audit method {config.method!r}")
-    _write_json(config.output_path, config, {
+    _write_files((config.output_path, _json_text(config, {
         "mechanism": config.method,
         "epsilon_target": report.epsilon_target,
         "max_abs_log_ratio": report.max_abs_log_ratio,
@@ -386,7 +427,7 @@ def _cmd_audit(config: RunConfig) -> int:
         "witness": {"y": list(report.witness.y), "x": list(report.witness.x),
                     "z": list(report.witness.z)},
         "params": params,
-    })
+    })))
     return 0 if report.satisfied else 1
 
 
@@ -420,9 +461,8 @@ def _cmd_simulate(config: RunConfig) -> int:
         rows.append(_format_row(key + ["rural_rate", res.rural_rate, None, None]))
         rows.append(_format_row(key + ["region_contrast", res.region_contrast,
                                        None, None]))
-    _write_table(config.output_path, config,
-                 ["scenario", "method", "epsilon", "metric", "value", "lo", "hi"],
-                 rows)
+    _write_files((config.output_path, _table_text(
+        config, ["scenario", "method", "epsilon", "metric", "value", "lo", "hi"], rows)))
     return 0
 
 
@@ -441,8 +481,8 @@ def _cmd_lemma_check(config: RunConfig) -> int:
                     all_equal &= check.equal
                     rows.append(_format_row([c1, c2, z_total, p, q,
                                              check.lhs, check.equal]))
-    _write_table(config.output_path, config,
-                 ["c1", "c2", "z_total", "p", "q", "value", "equal"], rows)
+    _write_files((config.output_path, _table_text(
+        config, ["c1", "c2", "z_total", "p", "q", "value", "equal"], rows)))
     return 0 if all_equal else 1
 
 
@@ -456,12 +496,13 @@ def _cmd_bound_sweep(config: RunConfig) -> int:
         rows.append(_format_row([inst.y[0], inst.y[1], inst.a[0], inst.a[1], inst.r,
                                  inst.z_total, row.exact_abs_log_ratio, row.bound,
                                  row.slack]))
-    _write_table(config.output_path, config,
-                 ["y1", "y2", "a1", "a2", "r", "z_total",
-                  "exact_abs_log_ratio", "bound", "slack"], rows)
     summary = sweep.slack_summary()
     summary["skipped"] = len(sweep.skipped)
-    _write_json(Path(config.output_path).with_suffix(".summary.json"), config, summary)
+    _write_files((Path(config.output_path).with_suffix(".summary.json"),
+                  _json_text(config, summary)),
+                 (config.output_path, _table_text(
+                     config, ["y1", "y2", "a1", "a2", "r", "z_total",
+                              "exact_abs_log_ratio", "bound", "slack"], rows)))
     ok = all(row.slack >= -1e-12 for row in sweep.rows)
     return 0 if ok else 1
 

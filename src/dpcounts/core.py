@@ -3,8 +3,9 @@
 Everything downstream (both synthesizers, the audits, the simulation study)
 builds on the pieces here: an immutable count dataset, a prior specification,
 a counter-based random stream that makes every draw reproducible from a
-(seed, stream_id) pair, the samplers, and the one allocation kernel both
-conjugate laws are built on.
+(seed, stream_id) pair, the samplers with the one release kernel both
+synthesizers draw through, and the one allocation kernel both conjugate laws
+are built on.
 """
 
 from __future__ import annotations
@@ -392,6 +393,52 @@ def sample_multinomial(total: int, probs, rng: RngStream) -> np.ndarray:
     if total < 0:
         raise DomainError("total must be non-negative")
     return rng.generator.multinomial(total, _checked_probs(probs)).astype(np.int64)
+
+
+def _row_streams(rng: RngStream, stream_ids):
+    """Yield ``rng`` once per release row: re-keyed to each of
+    ``stream_ids`` in turn, or once from where it stands when there are
+    none."""
+    if stream_ids is None:
+        yield rng
+        return
+    for stream_id in np.asarray(stream_ids, dtype=np.uint64).tolist():
+        rng.rekey(stream_id)
+        yield rng
+
+
+def sample_releases(shapes, scale, weights, total: int, rng: RngStream,
+                    stream_ids=None) -> np.ndarray:
+    """Draw synthetic releases of ``total`` events as a (rows, I) int64
+    count matrix, every row by the same step: rates
+    ``standard_gamma(shapes) * scale``, floored at the smallest positive
+    normal float, times ``weights`` and normalised, then one multinomial
+    allocation of ``total``.
+
+    Row k is drawn on stream ``stream_ids[k]`` of ``rng``'s seed, through
+    ``rng`` itself, re-keyed to each id in turn; without ``stream_ids``, one
+    row is drawn on ``rng`` from where it stands. The multinomial-Dirichlet
+    law is scale and weights 1.0 (multiplying by 1.0 is exact); the
+    Poisson-gamma law is scale 1/(n + b) and weights n. The arguments are
+    checked once, each row's cell probabilities as ``sample_multinomial``
+    checks them, and the row totals once on the whole matrix.
+    """
+    shapes = _as_float_vector(shapes, "shapes")
+    scale = np.asarray(scale, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    _check_gamma_args(shapes, scale)
+    total = int(total)
+    if total < 0:
+        raise DomainError("total must be non-negative")
+    counts = np.empty((1 if stream_ids is None else len(stream_ids), shapes.size),
+                      dtype=np.int64)
+    for row, stream in zip(counts, _row_streams(rng, stream_ids)):
+        rates = np.maximum(stream.generator.standard_gamma(shapes) * scale, _FLOOR)
+        rates *= weights
+        row[:] = stream.generator.multinomial(total, _checked_probs(rates / rates.sum()))
+    if (counts.sum(axis=1) != total).any():
+        raise DomainError("synthetic counts must sum to the stated total")
+    return counts
 
 
 def _checked_probs(probs) -> np.ndarray:

@@ -23,8 +23,7 @@ from .core import (
     SyntheticDataset,
     _allocation_terms,
     _checked_epsilon,
-    sample_dirichlet,
-    sample_multinomial,
+    sample_releases,
 )
 from .errors import DomainError, UsageError
 
@@ -145,19 +144,30 @@ def md_log_ratio(z, y, x, alpha) -> float | np.ndarray:
     return float(out) if z.ndim == y.ndim == 1 else out.astype(np.float64)
 
 
-def md_synthesize(data: CountDataset, prior: PriorSpec, rng: RngStream) -> SyntheticDataset:
-    """Draw one synthetic dataset: weights from the Dirichlet posterior,
-    then a multinomial allocation of the fixed total."""
+def md_releases(data: CountDataset, prior: PriorSpec, rng: RngStream,
+                stream_ids=None) -> tuple[np.ndarray, Provenance]:
+    """Synthetic releases as a count matrix, one row per stream id as
+    ``core.sample_releases`` draws them (one row on ``rng`` without ids), and
+    their provenance: weights from the Dirichlet posterior, then a
+    multinomial allocation of the fixed total."""
     if prior.mode is not PriorModel.MULTINOMIAL_DIRICHLET:
-        raise UsageError("md_synthesize requires a multinomial-Dirichlet prior")
+        raise UsageError("md synthesis requires a multinomial-Dirichlet prior")
     if prior.alpha.size != data.n_groups:
         raise UsageError("prior length does not match the dataset")
-    theta = sample_dirichlet(data.counts + prior.alpha, rng)
-    counts = sample_multinomial(data.total, theta, rng)
+    counts = sample_releases(data.counts + prior.alpha, 1.0, 1.0, data.total,
+                             rng, stream_ids)
     provenance = Provenance(
         method=PriorModel.MULTINOMIAL_DIRICHLET.value,
         epsilon=md_implied_epsilon(prior.alpha, data.total),
         seed=rng.seed,
         strategy="dirichlet-multinomial",
     )
-    return SyntheticDataset(counts=counts, total=data.total, provenance=provenance)
+    return counts, provenance
+
+
+def md_synthesize(data: CountDataset, prior: PriorSpec, rng: RngStream) -> SyntheticDataset:
+    """Draw one synthetic dataset on ``rng`` from where it stands: weights
+    from the Dirichlet posterior, then a multinomial allocation of the fixed
+    total."""
+    counts, provenance = md_releases(data, prior, rng)
+    return SyntheticDataset(counts=counts[0], total=data.total, provenance=provenance)

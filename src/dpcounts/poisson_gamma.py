@@ -33,8 +33,8 @@ from .core import (
     _allocation_terms,
     _allocations,
     _checked_epsilon,
-    sample_gamma,
-    sample_multinomial,
+    _row_streams,
+    sample_releases,
 )
 from .errors import DomainError, InfeasibleBudgetError, UsageError
 
@@ -498,17 +498,21 @@ def sample_pair_allocation(log_pmf: np.ndarray, rng: RngStream, size=None):
     return z1.astype(np.int64)
 
 
-def pg_synthesize(data: CountDataset, prior: PriorSpec,
-                  strategy: SynthesisStrategy, rng: RngStream) -> SyntheticDataset:
-    """Draw one synthetic dataset with the fixed public total.
+def pg_releases(data: CountDataset, prior: PriorSpec, strategy: SynthesisStrategy,
+                rng: RngStream, stream_ids=None) -> tuple[np.ndarray, Provenance]:
+    """Synthetic releases with the fixed public total as a count matrix, one
+    row per stream id (one row on ``rng`` from where it stands without ids),
+    and their provenance.
 
     EXACT_PAIR samples the two-group allocation from its exact conditional
     pmf by inverse CDF (audit path, I = 2 only). LAMBDA_MULTINOMIAL draws
     posterior rates then allocates the total by a multinomial with
-    rate-weighted populations (production path, any I).
+    rate-weighted populations (production path, any I), through
+    ``core.sample_releases``. The pmf and the certified budget are computed
+    once, whatever the number of rows.
     """
     if prior.mode is not PriorModel.POISSON_GAMMA:
-        raise UsageError("pg_synthesize requires a Poisson-gamma prior")
+        raise UsageError("pg synthesis requires a Poisson-gamma prior")
     if prior.a.size != data.n_groups:
         raise UsageError("prior length does not match the dataset")
     strategy = SynthesisStrategy(strategy)
@@ -517,12 +521,12 @@ def pg_synthesize(data: CountDataset, prior: PriorSpec,
             raise UsageError("exact enumeration synthesis requires exactly 2 groups")
         log_pmf = conditional_log_pmf_all(data.counts, prior.a, prior.b,
                                           data.populations, data.total)
-        z1 = sample_pair_allocation(log_pmf, rng)
-        counts = np.array([z1, data.total - z1], dtype=np.int64)
+        z1 = np.array([sample_pair_allocation(log_pmf, stream)
+                       for stream in _row_streams(rng, stream_ids)], dtype=np.int64)
+        counts = np.stack([z1, data.total - z1], axis=1)
     else:
-        lam = sample_gamma(data.counts + prior.a, data.populations + prior.b, rng)
-        weights = data.populations * np.asarray(lam)
-        counts = sample_multinomial(data.total, weights / weights.sum(), rng)
+        counts = sample_releases(data.counts + prior.a, 1.0 / (data.populations + prior.b),
+                                 data.populations, data.total, rng, stream_ids)
     provenance = Provenance(
         method=PriorModel.POISSON_GAMMA.value,
         epsilon=pg_implied_epsilon(data.populations, prior.a, prior.b,
@@ -530,5 +534,12 @@ def pg_synthesize(data: CountDataset, prior: PriorSpec,
         seed=rng.seed,
         strategy=strategy.value,
     )
-    return SyntheticDataset(counts=counts, total=data.total, provenance=provenance)
+    return counts, provenance
 
+
+def pg_synthesize(data: CountDataset, prior: PriorSpec,
+                  strategy: SynthesisStrategy, rng: RngStream) -> SyntheticDataset:
+    """Draw one synthetic dataset with the fixed public total, on ``rng``
+    from where it stands, by ``strategy`` as ``pg_releases`` draws it."""
+    counts, provenance = pg_releases(data, prior, strategy, rng)
+    return SyntheticDataset(counts=counts[0], total=data.total, provenance=provenance)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -6,8 +8,13 @@ import pytest
 
 import dpcounts.cli as cli
 from dpcounts.cli import RunConfig, config_from_args, ingest_counts, run, write_counts
-from dpcounts.core import CountDataset
+from dpcounts.core import (CountDataset, RngStream, sample_dirichlet, sample_gamma,
+                           sample_multinomial)
+from dpcounts.dirichlet_mult import calibrate_md, md_implied_epsilon
 from dpcounts.errors import CsvParseError, InfeasibleBudgetError
+from dpcounts.poisson_gamma import (TargetRule, calibrate_pg, conditional_log_pmf_all,
+                                    pg_implied_epsilon, sample_pair_allocation,
+                                    sanitize_state_rates)
 
 
 MINIMAL_CSV = """group_id,state_id,population,count
@@ -39,6 +46,24 @@ class TestIngest:
         path = tmp_path / "echo.csv"
         write_counts(data, path)
         assert ingest_counts(path) == data
+
+    def test_round_trip_quotes_ids(self, tmp_path):
+        data = CountDataset.from_counts([5, 9, 1], [10.5, 20.25, 3.0],
+                                        group_ids=["b,x", 'c"q', "plain"],
+                                        state_ids=["s1", "s,2", 's"3'])
+        path = tmp_path / "echo.csv"
+        write_counts(data, path)
+        assert ingest_counts(path) == data
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert [len(row) for row in rows] == [4] * 4
+
+    @pytest.mark.parametrize("text", ["plain", "b,x", 'c"q', '"', ",", "a\nb", "a\rb",
+                                      " spaced ", ""])
+    def test_cells_are_quoted_as_csv_writes_them(self, text):
+        # the default dialect, whose line terminator holds both line breaks
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow([text, "end"])
+        assert buffer.getvalue() == cli._csv_cell(text) + ",end\r\n"
 
     @pytest.mark.parametrize("row,fragment", [
         ("c9,s1,100.0,-1", "non-negative"),
@@ -261,6 +286,34 @@ class TestSynthesizeCommand:
         assert rule.endswith("by basic sequential composition (Dwork & Roth 2014, Section 3.5)")
         assert ("+ 2 * state_noise_epsilon" in rule) == (noise > 0)
 
+    def test_failed_sidecar_write_leaves_no_table(self, tmp_path, counts_file, capsys):
+        # the provenance file cannot be written: no table may appear without it
+        out = tmp_path / "out.csv"
+        out.with_suffix(".provenance.json").mkdir()
+        code = run_cli(["synthesize", "--method", "md", "--epsilon", "1",
+                        "--input", str(counts_file), "--output", str(out)])
+        assert code == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv",
+                                                              "out.provenance.json"]
+
+    def test_ids_that_need_quoting_are_quoted(self, tmp_path):
+        src = tmp_path / "counts.csv"
+        src.write_text('group_id,state_id,population,count\n"b,x",s1,100.0,3\n'
+                       '"c""q",s1,200.0,7\nplain,s2,400.0,2\n')
+        out = tmp_path / "release.csv"
+        assert run_cli(["synthesize", "--method", "md", "--epsilon", "1",
+                        "--input", str(src), "--m", "2", "--output", str(out)]) == 0
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        rows = list(csv.reader(body))
+        assert rows[0] == ["group_id", "replicate", "z"]
+        assert [len(row) for row in rows] == [3] * 7
+        assert [(gid, rep) for gid, rep, _ in rows[1:]] == [
+            (gid, str(rep)) for rep in range(2) for gid in ("b,x", 'c"q', "plain")]
+        assert sum(int(z) for _, _, z in rows[1:4]) == 12
+        assert body[1] == '"b,x",0,' + rows[1][2]
+        assert body[2] == '"c""q",0,' + rows[2][2]
+
     @pytest.mark.parametrize("method", ["pg-exact2", "pg-multinomial"])
     def test_state_targets_without_noise_are_refused(self, tmp_path, capsys, method):
         # raw state rates leak the confidential state totals: fail closed
@@ -321,6 +374,78 @@ class TestReleaseFormat:
             counts = [int(line.rsplit(",", 1)[1]) for line in block]
             assert block == [f"{gid},{rep},{z}" for gid, z in zip(data.group_ids, counts)]
             assert sum(counts) == data.total
+
+
+class TestReleaseKernel:
+    """Every block of a synthesize table against a per-release reference,
+    drawn with the public samplers on stream (100, k) of the seed."""
+
+    CUSTOM_RATES = np.array([0.004, 0.002, 0.003, 0.001])
+
+    def _reference(self, method, data, seed, epsilon):
+        """The certified budget and a function drawing one release on a
+        stream."""
+        if method == "md":
+            alpha = np.full(data.n_groups, calibrate_md(epsilon, data.total).alpha_min)
+
+            def release(stream):
+                theta = sample_dirichlet(data.counts + alpha, stream)
+                return sample_multinomial(data.total, theta, stream)
+            return md_implied_epsilon(alpha, data.total), release
+        targets, rule = {
+            "pg-national": (None, TargetRule.DEFAULT_NATIONAL),
+            "pg-custom": (self.CUSTOM_RATES, TargetRule.CUSTOM),
+            "pg-state-noise": (sanitize_state_rates(data, 0.5, RngStream(seed).child(8)),
+                               TargetRule.CUSTOM),
+            "pg-exact2": (None, TargetRule.DEFAULT_NATIONAL),
+        }[method]
+        prior = calibrate_pg(epsilon, data, target_rates=targets, rule=rule).prior()
+        certified = pg_implied_epsilon(data.populations, prior.a, prior.b,
+                                       data.total, data.total)
+        if method == "pg-exact2":
+            log_pmf = conditional_log_pmf_all(data.counts, prior.a, prior.b,
+                                              data.populations, data.total)
+
+            def release(stream):
+                z1 = sample_pair_allocation(log_pmf, stream)
+                return np.array([z1, data.total - z1])
+            return certified, release
+
+        def release(stream):
+            rates = sample_gamma(data.counts + prior.a, data.populations + prior.b, stream)
+            weights = data.populations * rates
+            return sample_multinomial(data.total, weights / weights.sum(), stream)
+        return certified, release
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("method,extra", [
+        ("md", []),
+        ("pg-national", []),
+        ("pg-custom", ["--target-rule", "custom",
+                       "--target-rates", "0.004,0.002,0.003,0.001"]),
+        ("pg-state-noise", ["--target-rule", "state", "--state-noise-epsilon", "0.5"]),
+        ("pg-exact2", []),
+    ])
+    def test_blocks_match_the_per_release_reference(self, tmp_path, method, extra, m):
+        src = tmp_path / "counts.csv"
+        src.write_text(PAIR_CSV if method == "pg-exact2" else RELEASE_CSV)
+        out = tmp_path / "release.csv"
+        seed, epsilon = 23, 1.0
+        cli_method = method if method in ("md", "pg-exact2") else "pg-multinomial"
+        assert run_cli(["synthesize", "--method", cli_method, "--epsilon", str(epsilon),
+                        "--input", str(src), "--m", str(m), "--seed", str(seed),
+                        "--output", str(out), *extra]) == 0
+        data = ingest_counts(src)
+        certified, release = self._reference(method, data, seed, epsilon)
+        body = out.read_text().splitlines()[4:]
+        assert len(body) == m * data.n_groups
+        for k in range(m):
+            z = release(RngStream(seed).child(100, k))
+            block = body[k * data.n_groups:(k + 1) * data.n_groups]
+            assert block == [f"{gid},{k},{count}"
+                             for gid, count in zip(data.group_ids, z.tolist())]
+        result = json.loads(out.with_suffix(".provenance.json").read_text())["result"]
+        assert result["epsilon_certified"] == certified
 
 
 class TestSimulateCommand:

@@ -19,6 +19,7 @@ from dpcounts.core import (
     sample_dirichlet,
     sample_gamma,
     sample_multinomial,
+    sample_releases,
 )
 from dpcounts.errors import DomainError, UsageError
 from dpcounts.poisson_gamma import conditional_log_pmf_all
@@ -227,6 +228,54 @@ class TestSampleMultinomial:
             sample_multinomial(-1, [0.5, 0.5], RngStream(0))
         with pytest.raises(DomainError):
             sample_multinomial(3, [0.5, 0.4], RngStream(0))
+
+
+class TestSampleReleases:
+    """The release kernel against the per-release samplers it replaces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.lists(st.integers(0, 30), min_size=2, max_size=6),
+           prior=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32), rows=st.integers(1, 4))
+    def test_rows_match_the_per_release_samplers(self, counts, prior, seed, rows):
+        counts = np.array(counts)
+        pops = np.linspace(1.0, 50.0, counts.size)
+        total = int(counts.sum())
+        stream_ids = RngStream(seed).child_ids(100, np.arange(rows))
+        md = sample_releases(counts + prior, 1.0, 1.0, total, RngStream(seed), stream_ids)
+        pg = sample_releases(counts + prior, 1.0 / (pops + 2.0), pops, total,
+                             RngStream(seed), stream_ids)
+        for k, stream_id in enumerate(stream_ids.tolist()):
+            stream = RngStream(seed, stream_id)
+            theta = sample_dirichlet(counts + prior, stream)
+            assert np.array_equal(md[k], sample_multinomial(total, theta, stream))
+            stream = RngStream(seed, stream_id)
+            weights = pops * sample_gamma(counts + prior, pops + 2.0, stream)
+            assert np.array_equal(pg[k], sample_multinomial(total, weights / weights.sum(),
+                                                            stream))
+        assert md.shape == pg.shape == (rows, counts.size)
+        assert md.dtype == pg.dtype == np.int64
+
+    def test_without_ids_one_row_continues_the_stream(self):
+        shapes = np.array([2.5, 1.0, 4.0])
+        stream = RngStream(5, 6)
+        stream.generator.random(3)
+        got = sample_releases(shapes, 1.0, 1.0, 7, stream)
+        reference = RngStream(5, 6)
+        reference.generator.random(3)
+        theta = sample_dirichlet(shapes, reference)
+        assert np.array_equal(got, sample_multinomial(7, theta, reference)[None, :])
+        # and the stream goes on from there
+        assert stream.generator.random() == reference.generator.random()
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            sample_releases([1.0, 0.0], 1.0, 1.0, 3, RngStream(0))
+        with pytest.raises(DomainError):
+            sample_releases([1.0, 1.0], [1.0, -1.0], 1.0, 3, RngStream(0))
+        with pytest.raises(DomainError):
+            sample_releases([1.0, 1.0], 1.0, 1.0, -1, RngStream(0))
+        with pytest.raises(DomainError):
+            sample_releases([1.0, 1.0], 1.0, [1.0, np.nan], 3, RngStream(0))
 
 
 class TestAllocationKernel:
