@@ -259,7 +259,19 @@ def _parse_vector(text: str, name: str) -> np.ndarray:
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",")]
+    try:
+        values = [Fraction(part.strip()) for part in text.split(",")]
+        if min(values) > 0:
+            return values
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError("r_values must be a comma-separated list of positive ratios")
+
+
+def _check_at_least_one(config: RunConfig, *fields: str) -> None:
+    for field in fields:
+        if getattr(config, field) < 1:
+            raise UsageError(f"--{field.replace('_', '-')} must be at least 1")
 
 
 def _resolve_rule(config: RunConfig) -> TargetRule:
@@ -400,9 +412,10 @@ def _cmd_audit(config: RunConfig) -> int:
             targets = _parse_vector(config.target_rates, "target_rates")
         else:
             targets = np.full(2, max(config.y_total, 1) / populations.sum())
-        if config.a is not None:
-            a = _parse_vector(config.a, "a")
-        else:
+        a = None if config.a is None else _parse_vector(config.a, "a")
+        if any(v.shape != (2,) for v in (populations, targets, a) if v is not None):
+            raise UsageError("exhaustive audit runs on two groups")
+        if a is None:
             counts = np.array([config.y_total, 0])
             data = CountDataset.from_counts(counts, populations)
             cal = calibrate_pg(config.epsilon, data, target_rates=targets,
@@ -432,12 +445,13 @@ def _cmd_audit(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
-    if config.workers < 1:
-        raise UsageError("--workers must be at least 1")
+    _check_at_least_one(config, "workers")
     ingested = None
     if config.input_path is not None:
         ingested = ingest_counts(config.input_path)
     names = [s.strip() for s in config.scenarios.split(",") if s.strip()]
+    if not names:
+        raise UsageError("need at least one scenario")
     try:
         scenario_pairs = tuple(_SCENARIO_NAMES[name] for name in names)
     except KeyError as err:
@@ -448,7 +462,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         y_total=config.sim_y_total,
         n_total=config.n_total,
         n_replicates=config.replicates,
-        epsilons=tuple(float(e) for e in config.epsilons.split(",")),
+        epsilons=tuple(_parse_vector(config.epsilons, "epsilons").tolist()),
         scenarios=scenario_pairs,
         seed=config.seed,
         ingested=ingested,
@@ -467,6 +481,7 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_lemma_check(config: RunConfig) -> int:
+    _check_at_least_one(config, "max_c", "max_z", "points")
     rng = RngStream(config.seed).child(42)
     gen = rng.generator
     rows = []
@@ -487,6 +502,7 @@ def _cmd_lemma_check(config: RunConfig) -> int:
 
 
 def _cmd_bound_sweep(config: RunConfig) -> int:
+    _check_at_least_one(config, "max_a", "max_y_total")
     grid = default_bound_grid(max_a=config.max_a, max_y_total=config.max_y_total,
                               r_values=_parse_fractions(config.r_values))
     sweep = bound_accuracy_sweep(grid)

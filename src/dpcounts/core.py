@@ -178,6 +178,9 @@ class CountDataset:
         populations = _as_float_vector(self.populations, "populations")
         if (populations <= 0).any():
             raise DomainError("populations must be positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(populations.sum()):
+                raise DomainError("populations must have a finite sum")
         if counts.size < 2:
             raise DomainError("a dataset needs at least two groups")
         if populations.size != counts.size:

@@ -262,7 +262,7 @@ def calibrate_pg(epsilon: float, data: CountDataset, target_rates=None,
 def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
                          rule: TargetRule = TargetRule.DEFAULT_NATIONAL
                          ) -> tuple[PgCalibration, ...]:
-    """One calibration per budget in ``epsilons``, in order, solved in lockstep.
+    """One calibration per budget in ``epsilons``, in order.
 
     With one strength a for every group (b = a / target), the budget
     requirement a >= z_total / (e^eps / nu - 1) reads
@@ -275,26 +275,23 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
     exceeds eps. Raises InfeasibleBudgetError if no finite strength meets a
     budget.
 
-    The budgets are the lanes of one lockstep solve (``_calibrate_lanes``),
+    The budgets are the lanes of one vectorised bracket (``_calibrate_lanes``),
     all sharing this dataset's targets, passed factored as their distinct
     values and each group's index into them; the simulation study calls the
     same solver with one lane per (replicate, budget) and per-state targets
-    that differ per lane. A lane's bracket, steps and iteration count depend
-    on its own budget and targets only. The solver returns one strength and
-    one penalty per lane; the per-group a_min, nu and r vectors are built
-    here.
+    that differ per lane. A lane's steps and iteration count depend on its
+    own budget and targets only. The per-group a_min, nu and r vectors are
+    built here from each lane's strength and penalty.
     """
     epsilons = _checked_budgets(epsilons)
     if data.total < 1:
         raise DomainError("calibration needs a positive event total")
     lam0 = _resolve_targets(data, target_rates, rule)
-    total = data.total
-    n = data.populations
+    total, n = data.total, data.populations
     rates, index = np.unique(lam0, return_inverse=True)
     roots, nu, evaluations = _calibrate_lanes(
         epsilons, n, total, np.broadcast_to(rates, (len(epsilons), rates.size)), index)
-    a_min = np.empty((len(epsilons), n.size))
-    a_min[:] = roots[:, None]
+    a_min = np.repeat(roots[:, None], n.size, axis=1)
     r = _structure_ratios(n, n.sum() - n, a_min / lam0)
     return tuple(
         PgCalibration(
@@ -312,54 +309,89 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
 
 
 def _checked_budgets(epsilons) -> list[float]:
-    """The budgets as floats, each checked as _checked_epsilon checks it."""
+    """The budgets as floats, each checked as _checked_epsilon checks it and
+    refused where e^eps rounds to 1, which no finite strength meets."""
     epsilons = [_checked_epsilon(eps) for eps in epsilons]
     if not epsilons:
         raise UsageError("need at least one epsilon")
+    for eps in epsilons:
+        if math.exp(eps) == 1.0:
+            raise InfeasibleBudgetError(f"no finite prior strength meets budget "
+                                        f"epsilon={eps}: e^epsilon rounds to 1")
     return epsilons
 
 
 def _calibrate_lanes(epsilons, n: np.ndarray, total: int, rates: np.ndarray,
                      index: np.ndarray):
-    """The lockstep solve behind calibrate_pg_budgets. Lane k calibrates
+    """The vectorised bracket behind calibrate_pg_budgets. Lane k calibrates
     budget ``epsilons[k]`` against factored targets: group i's target is
     ``rates[k, index[i]]``, for a (k, S) matrix ``rates`` of class rates and
     a class index per group in which every class 0 .. S - 1 occurs. The
     populations n and the total are shared. Inputs are taken as checked.
     Returns each lane's strength a_min and penalty nu as (k,) vectors, and
-    its number of certified-budget evaluations.
+    its number of certified-budget evaluations as a list of ints.
 
-    Each round gathers the pending strength of every unfinished lane and
-    evaluates them all in one call of ``_lane_penalties``, which works at
-    class level: within a class every step of the structure ratio is a
-    correctly rounded monotone operation, so the computed ratio weakly rises
-    with the population and the class minimum sits at its smallest group,
-    the only one evaluated. Every value thus equals pg_implied_epsilon(n,
-    a * ones, a * ones / target) bit for bit, whatever the other lanes hold.
+    The brackets are (k,) arrays moved by whole-array steps, each lane
+    taking the float steps of its own scalar solve. Each round evaluates the
+    pending strengths in one ``_lane_penalties`` call, equal bit for bit to
+    pg_implied_epsilon's values, whatever the other lanes hold.
     """
     n_c = n.sum() - n
     first = _smallest_groups(n, index)
-    solves = [_illinois(eps, total) for eps in epsilons]
-    pending = [solve.send(None) for solve in solves]
-    evaluations = [0] * len(solves)
-    roots = np.empty(len(solves))
+    eps = np.array(epsilons)
     # one (lanes, groups) scratch matrix for every round: a fresh one per
     # round would cost about as much again in page faults as the arithmetic
-    work = np.empty((len(solves), n.size))
-    live = list(range(len(solves)))
-    while live:
-        a = np.array([pending[k] for k in live])
-        nu = _lane_penalties(n, n_c, index, first, a, rates[live], total, work)
-        still_live = []
-        for k, value in zip(live, _budget_of_penalty(nu, a, total).tolist()):
-            evaluations[k] += 1
-            try:
-                pending[k] = solves[k].send(value - epsilons[k])
-                still_live.append(k)
-            except StopIteration as done:
-                roots[k] = done.value
-        live = still_live
-    return roots, _lane_penalties(n, n_c, index, first, roots, rates, total, work), evaluations
+    work = np.empty((eps.size, n.size))
+
+    def excess(a, lanes):  # each lane's certified budget at a, minus its budget
+        nu = _lane_penalties(n, n_c, index, first, a, rates[lanes], total, work)
+        return _budget_of_penalty(nu, a, total) - eps[lanes]
+
+    live = np.arange(eps.size)
+    # math.expm1 lane by lane: np.expm1 rounds some budgets differently
+    hi = np.array([total / math.expm1(e) for e in epsilons])
+    g_hi = excess(hi, live)
+    lo, g_lo = hi.copy(), g_hi.copy()
+    evaluations = np.ones(eps.size, dtype=np.int64)
+    # double each lane from its penalty-free root until its budget is met
+    grow = live[~(g_hi <= 0)]  # a NaN is not met
+    while grow.size:
+        overflows = np.greater(hi[grow], np.finfo(float).max / 2)  # 2 * hi is inf
+        if overflows.any():
+            raise InfeasibleBudgetError("no finite prior strength meets budget "
+                                        f"epsilon={epsilons[grow[overflows.argmax()]]}")
+        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
+        hi[grow] *= 2.0
+        g_hi[grow] = excess(hi[grow], grow)
+        evaluations[grow] += 1
+        grow = grow[~(g_hi[grow] <= 0)]
+
+    # then Illinois regula falsi until each bracket closes: where the same
+    # end moves twice in a row, the value kept at the other end is halved
+    # (both ends' are, and the moved end's is then replaced). Only open lanes
+    # are held; a closed lane's root, its feasible end, moves out once.
+    roots = np.empty(eps.size)
+    lo_moved, rounds = np.full(eps.size, np.nan), 0  # NaN: no end has moved yet
+    while True:
+        open_ = np.less(g_hi, 0.0) & (hi - lo > 1e-12 * hi)
+        if np.count_nonzero(open_) < live.size:
+            roots[live[~open_]] = hi[~open_]
+            evaluations[live[~open_]] += rounds
+            live, lo, hi, g_lo, g_hi, lo_moved = (
+                x[open_] for x in (live, lo, hi, g_lo, g_hi, lo_moved))
+            if not live.size:
+                break
+        a = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        g = excess(a, live)
+        moves_lo = np.greater(g, 0.0)
+        same = moves_lo == lo_moved
+        for end, g_end, moves in ((lo, g_lo, moves_lo), (hi, g_hi, ~moves_lo)):
+            np.multiply(g_end, 0.5, out=g_end, where=same)
+            np.copyto(end, a, where=moves)
+            np.copyto(g_end, g, where=moves)
+        lo_moved, rounds = moves_lo, rounds + 1
+    return (roots, _lane_penalties(n, n_c, index, first, roots, rates, total, work),
+            evaluations.tolist())
 
 
 def _smallest_groups(n: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -402,39 +434,6 @@ def _lane_penalties(n, n_c, index, first, a, rates, total: int, work) -> np.ndar
     r = _structure_ratios(n[first], n_c[first], b,
                           b.take(index, axis=1, out=work).sum(axis=1, keepdims=True))
     return _penalties(a_comp, total, total, r.min(axis=1))
-
-
-def _illinois(epsilon: float, total: int):
-    """The scalar solve of one budget, as a generator: it yields each
-    strength to evaluate, is sent that strength's certified budget minus
-    epsilon, and returns the feasible end of its final bracket."""
-    lo = hi = total / math.expm1(epsilon)
-    g_lo = g_hi = yield hi
-    while not g_hi <= 0:
-        lo, g_lo = hi, g_hi
-        hi = 2.0 * hi
-        if not math.isfinite(hi):
-            raise InfeasibleBudgetError(
-                f"no finite prior strength meets budget epsilon={epsilon}")
-        g_hi = yield hi
-
-    # Illinois regula falsi: when the same end moves twice in a row, halve the
-    # value kept at the other end so that the secant pulls it in too
-    last_moved = 0  # -1: lo moved last, 1: hi moved last
-    while g_hi < 0 and hi - lo > 1e-12 * hi:
-        a = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        g = yield a
-        if g > 0:
-            lo, g_lo = a, g
-            if last_moved < 0:
-                g_hi *= 0.5
-            last_moved = -1
-        else:
-            hi, g_hi = a, g
-            if last_moved > 0:
-                g_lo *= 0.5
-            last_moved = 1
-    return hi
 
 
 def integer_prior_strength(calibration: PgCalibration, populations) -> np.ndarray:

@@ -17,12 +17,13 @@ per-replicate dataset or prior objects:
 - state targets: every replicate's state event totals come from one
   bincount, and are sums of integers, so they equal state_target_rates'
   values exactly;
-- calibration: one lockstep solve over a lane per (replicate, budget) with
-  that replicate's state targets, and a lane per budget with the national
-  target, which depends on the fixed total and the populations only. The
-  targets are passed per state, so each solve round works on (lanes,
-  states) matrices; every lane then gets the calibration's and the prior's
-  checks at once, and is kept as one strength and one b per state.
+- calibration: one vectorised bracket over a lane per (replicate, budget)
+  with that replicate's state targets, and a lane per budget with the
+  national target, which depends on the fixed total and the populations
+  only. The brackets are arrays moved by whole-array steps, and the
+  targets are passed per state, so each round works on (lanes, states)
+  matrices; every lane then gets the calibration's and the prior's checks
+  at once, and is kept as one strength and one b per state.
 
 The replicates then run one block at a time:
 
@@ -412,10 +413,10 @@ def _draw_counts(config: StudyConfig, scenario_idx: int, truth: GroundTruth,
 def _scenario_case(config: StudyConfig, scenario_idx: int, label: str,
                    truth: GroundTruth, y_total: int) -> _Case:
     """Counts, calibrated priors and score groups of one scenario. Its PG
-    priors come from one lockstep solve over a lane per (replicate, budget)
-    with the replicate's state targets, then a lane per budget with the
-    national target, every lane checked as PgCalibration and PriorSpec would
-    check it."""
+    priors come from one vectorised bracket over a lane per (replicate,
+    budget) with the replicate's state targets, then a lane per budget with
+    the national target, every lane checked as PgCalibration and PriorSpec
+    would check it."""
     pops = truth.populations
     counts = _draw_counts(config, scenario_idx, truth, y_total)
     epsilons = _checked_budgets(config.epsilons)

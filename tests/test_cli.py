@@ -595,3 +595,54 @@ class TestErrorsAndConfig:
         config = RunConfig(**embedded)
         assert run(config) == 0
         assert out.read_bytes() == first
+
+
+_SMALL_STUDY = ["--scenarios", "uniform-uniform", "--n-groups", "12", "--y-total", "60",
+                "--replicates", "2"]
+_PG2_AUDIT = ["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    # a pg budget whose e^eps rounds to 1 is infeasible
+    (["calibrate", "--method", "pg-national", "--epsilon", "1e-16", "--input", "{counts}"], 2),
+    (["synthesize", "--method", "pg-multinomial", "--epsilon", "1e-16",
+      "--input", "{counts}"], 2),
+    (["audit", "--method", "pg2", "--epsilon", "1e-16", "--y-total", "4",
+      "--populations", "1,4", "--target-rates", "0.8,0.25"], 2),
+    (["simulate", "--epsilons", "1e-16"] + _SMALL_STUDY, 2),
+    # populations whose total overflows
+    (["synthesize", "--method", "pg-multinomial", "--epsilon", "1", "--input", "{huge}"], 3),
+    (["simulate", "--epsilons", "0.5,abc"] + _SMALL_STUDY, 3),
+    (["simulate", "--epsilons", ""] + _SMALL_STUDY, 3),
+    (["simulate", "--scenarios", ""], 3),
+    (_PG2_AUDIT + ["--a", "1,2,3"], 3),
+    (_PG2_AUDIT + ["--populations", "1,4", "--target-rates", "1,2,3", "--a", "2,2"], 3),
+    (["bound-sweep", "--r-values", "abc"], 3),
+    (["bound-sweep", "--r-values", "0"], 3),
+    (["bound-sweep", "--r-values", "1/0"], 3),
+    (["bound-sweep", "--max-a", "0"], 3),
+    (["bound-sweep", "--max-y-total", "0"], 3),
+    (["lemma-check", "--max-c", "0"], 3),
+    (["lemma-check", "--max-z", "0"], 3),
+    (["lemma-check", "--points", "0"], 3),
+], ids=["calibrate-tiny-eps", "synthesize-tiny-eps", "audit-tiny-eps", "simulate-tiny-eps",
+        "overflowing-populations", "simulate-bad-epsilons", "simulate-no-epsilons",
+        "simulate-no-scenarios", "audit-three-a", "audit-three-targets", "r-values-text",
+        "r-values-zero", "r-values-zero-denominator", "max-a-zero", "max-y-total-zero",
+        "max-c-zero", "max-z-zero", "points-zero"])
+def test_bad_input_fails_closed(tmp_path, capsys, argv, code):
+    # one error line and the exit code, no traceback and no output file
+    (tmp_path / "counts.csv").write_text(MINIMAL_CSV)
+    (tmp_path / "huge.csv").write_text("group_id,state_id,population,count\n"
+                                       "a,s1,1e308,3\nb,s2,1e308,4\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [arg.format(counts=tmp_path / "counts.csv", huge=tmp_path / "huge.csv")
+            for arg in argv]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--output", str(out_dir / "result.out")])
+    assert exit_.value.code == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert list(out_dir.iterdir()) == []

@@ -365,6 +365,9 @@ class TestCountDataset:
                          group_ids=("a", "b"), state_ids=None, total=4)
         with pytest.raises(DomainError):
             CountDataset.from_counts([1, 2], [1.0, 1.0], group_ids=["a", "a"])
+        # each population is finite, their total is not
+        with pytest.raises(DomainError, match="finite sum"):
+            CountDataset.from_counts([3, 4], [1e308, 1e308])
 
     def test_arrays_frozen(self):
         data = CountDataset.from_counts([3, 7], [10.0, 20.0])

@@ -292,6 +292,17 @@ _PINNED_CALIBRATIONS = {
     ("sixty-state", 2.0): (
         81.08951781417112, 1.0892318009349118,
         0.0007024694751334616, 4.33602543045636, 10),
+    # at total 1 the bracket doubles from the penalty-free root 4 times at
+    # eps 8, twice at eps 3 and once at eps 0.05
+    ("three-custom", 0.05): (
+        28.86885314343212, 1.0160748639888026,
+        0.07187422441322186, 6.730110762389769, 11),
+    ("three-custom", 3.0): (
+        0.18202406526232104, 3.0930428501247915,
+        0.238031663304101, 2.2969704887399933, 11),
+    ("three-custom", 8.0): (
+        0.003901557847416928, 11.585179778085687,
+        0.9174026175409807, 1.035489868597496, 13),
 }
 
 
@@ -301,6 +312,9 @@ def _pinned_dataset(name):
     if name == "pair-custom":
         return (CountDataset.from_counts([4, 1], [1.0, 4.0]),
                 {"target_rates": [0.8, 0.25], "rule": TargetRule.CUSTOM})
+    if name == "three-custom":
+        return (CountDataset.from_counts([0, 1, 0], [2.0, 5.0, 80.0]),
+                {"target_rates": [0.01, 0.02, 0.004], "rule": TargetRule.CUSTOM})
     if name == "four-state":
         counts, pops, states = [3, 0, 7, 2], [10.0, 40.0, 25.0, 5.0], ["s1", "s1", "s2", "s2"]
     else:
@@ -384,7 +398,7 @@ class TestCalibrateBudgets:
     # one-budget call, whatever the other lanes are
 
     @pytest.mark.parametrize("name", ["pair-national", "pair-custom", "four-state",
-                                      "sixty-state"])
+                                      "sixty-state", "three-custom"])
     @pytest.mark.parametrize("epsilons", [
         _ACCEPTANCE_EPS,
         (7.0, 0.5, 2.0, math.log(2.0), 1.0),
@@ -399,7 +413,7 @@ class TestCalibrateBudgets:
             assert _same_calibration(cal, calibrate_pg(eps, data, **kwargs)), eps
 
     def test_lanes_keep_pinned_values(self):
-        for name in ("pair-custom", "four-state", "sixty-state"):
+        for name in ("pair-custom", "four-state", "sixty-state", "three-custom"):
             data, kwargs = _pinned_dataset(name)
             grid = sorted(eps for key, eps in _PINNED_CALIBRATIONS if key == name)
             for eps, cal in zip(grid, calibrate_pg_budgets(grid, data, **kwargs)):
@@ -472,10 +486,13 @@ class TestCalibrateBudgets:
         ((1.0, math.nan), DomainError),
         ((math.inf,), DomainError),
         ((1.0, 709.79), DomainError),
-    ], ids=["empty", "zero", "negative", "nan", "infinite", "exp-overflows"])
+        ((1.0, 1e-16), InfeasibleBudgetError),
+    ], ids=["empty", "zero", "negative", "nan", "infinite", "exp-overflows",
+            "exp-rounds-to-one"])
     def test_bad_budgets_refused(self, epsilons, error):
         # an infinite budget puts the penalty-free root at strength 0, and
-        # doubling 0 never leaves it
+        # doubling 0 never leaves it; where e^eps rounds to 1, no penalty
+        # fits below it
         data = _pair_dataset(5, [1.0, 4.0])
         with pytest.raises(error):
             calibrate_pg_budgets(epsilons, data)
@@ -630,7 +647,8 @@ def test_infeasible_budget_guard(monkeypatch):
     # doubles until it overflows.
     import dpcounts.poisson_gamma as pg
 
-    monkeypatch.setattr(pg, "_penalties", lambda *args, **kwargs: np.full(2, 100.0))
+    monkeypatch.setattr(pg, "_penalties",
+                        lambda a_comp, *args: np.full(np.shape(a_comp), 100.0))
     data = CountDataset.from_counts([3, 3], [1.0, 1.0])
     with pytest.raises(InfeasibleBudgetError), np.errstate(over="ignore"):
         calibrate_pg(1.0, data)
