@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import exact_math
-from .core import _allocations
+from .core import _allocations, _checked_positive
 from .dirichlet_mult import md_log_pmf, md_log_ratio
 from .errors import DomainError, UsageError
 from .poisson_gamma import _normalized_pair_terms, normalizer_ratio_bound, structure_ratio
@@ -91,7 +91,8 @@ def _audit(epsilon: float, y_total: int, table: np.ndarray) -> AuditReport:
 
 
 def _cross_check(value, other) -> None:
-    if np.any(np.abs(value - other) > CROSS_CHECK_TOL):
+    # written so that a NaN, which no comparison holds for, disagrees
+    if not np.all(np.abs(value - other) <= CROSS_CHECK_TOL):
         raise ArithmeticError("ratio evaluation routes disagree")
 
 
@@ -102,9 +103,6 @@ def _pairs(y_total: int) -> np.ndarray:
 
 def _md_table(alpha, y_total: int) -> np.ndarray:
     """Cancelled-form md ratios, checked against pmf differences."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (2,):
-        raise UsageError("exhaustive audit runs on two groups")
     z = _allocations(y_total)
     y, x = _pairs(y_total)
     table = md_log_ratio(z, y, x, alpha).T
@@ -116,13 +114,6 @@ def _md_table(alpha, y_total: int) -> np.ndarray:
 def _pg2_table(a, b, n, y_total: int) -> np.ndarray:
     """Differences of the conditional log pmf tables, checked against the
     cancelled form through the normalizers."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    if a.shape != (2,) or b.shape != (2,) or n.shape != (2,):
-        raise UsageError("exhaustive audit runs on two groups")
-    if np.any(a <= 0):
-        raise DomainError("a must be positive")
     z = _allocations(y_total)
     log_pmf, log_c = _normalized_pair_terms(z, a, math.log(structure_ratio(0, n, b)), y_total)
     y, x = _pairs(y_total)
@@ -150,16 +141,9 @@ def _pg2_exact_table(a_int, b, n, y_total: int) -> np.ndarray:
     a big and a small integer. A fraction has one lowest-terms form, so the
     integers logged are those a full gcd of num*top and den*bottom gives.
     """
-    a_int = np.asarray(a_int)
-    b_frac = [Fraction(float(v)) for v in np.asarray(b, dtype=np.float64)]
-    n_frac = [Fraction(float(v)) for v in np.asarray(n, dtype=np.float64)]
-    if len(a_int) != 2 or len(b_frac) != 2 or len(n_frac) != 2:
-        raise UsageError("exhaustive audit runs on two groups")
-    if not all(float(v).is_integer() for v in a_int):
-        raise DomainError("exact audit requires integer a")
     a_int = [int(v) for v in a_int]
-    if min(a_int) < 1:
-        raise DomainError("exact audit requires integer a >= 1")
+    b_frac = [Fraction(float(v)) for v in b]
+    n_frac = [Fraction(float(v)) for v in n]
     r1 = (b_frac[1] / n_frac[1] + 2) / (b_frac[0] / n_frac[0] + 2)
     allocations = _allocations(y_total).tolist()
     normalizer = [exact_math.exact_normalizer(data, a_int, r1, y_total)
@@ -183,12 +167,20 @@ def _pg2_exact_table(a_int, b, n, y_total: int) -> np.ndarray:
     return np.array(table)
 
 
+def _two_groups(values, name: str) -> np.ndarray:
+    arr = _checked_positive(values, name)
+    if arr.shape != (2,):
+        raise UsageError("exhaustive audit runs on two groups")
+    return arr
+
+
 def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
                       alpha=None, a=None, b=None, populations=None,
                       exact: bool = False) -> AuditReport:
     """Exhaustively audit a calibrated mechanism on two groups.
 
     ``mechanism`` is 'md' (needs alpha) or 'pg2' (needs a, b, populations).
+    Each is checked here, for every route: two entries, finite and positive.
     ``exact=True`` switches the pg2 route to arbitrary-precision rationals,
     which requires integer a (integral floats such as 3.0 count); any other
     a is refused with DomainError. Totals above the enumeration cap are
@@ -206,11 +198,15 @@ def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
     if mechanism == "md":
         if alpha is None:
             raise UsageError("md audit requires alpha")
-        table = _md_table(alpha, y_total)
+        table = _md_table(_two_groups(alpha, "alpha"), y_total)
     elif mechanism == "pg2":
         if a is None or b is None or populations is None:
             raise UsageError("pg2 audit requires a, b, populations")
-        table = (_pg2_exact_table if exact else _pg2_table)(a, b, populations, y_total)
+        if exact and not all(float(v).is_integer() for v in np.ravel(a)):
+            raise DomainError("exact audit requires integer a")
+        table = (_pg2_exact_table if exact else _pg2_table)(
+            _two_groups(a, "a"), _two_groups(b, "b"), _two_groups(populations, "populations"),
+            y_total)
     else:
         raise UsageError(f"unknown mechanism {mechanism!r}")
     return _audit(epsilon, y_total, table)

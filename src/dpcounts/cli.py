@@ -8,9 +8,15 @@ Every output embeds the tool version, the full effective configuration, and
 the master seed, and re-running an embedded configuration reproduces the
 file byte for byte.
 
-Exit codes: 0 success or all checks passed; 1 a verification failed (audit
-unsatisfied, identity mismatch, negative slack); 2 infeasible budget;
-3 I/O, parse or usage error.
+The contract: a command either exits 0 with every artifact it writes
+complete, or prints one ``error:`` line and writes no output file. Each file
+is written under a temporary name and renamed into place; an ``--output``
+that is a symbolic link is replaced by a regular file, and the link's
+target is left as it was.
+
+Exit codes: 0 success or all checks passed; 1 a refused release or a failed
+verification (audit unsatisfied, identity mismatch, negative slack); 2
+infeasible budget; 3 a usage, domain or parse error (I/O errors included).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from . import __version__
 from .audit import audit_synthesizer, bound_accuracy_sweep, default_bound_grid
 from .core import CountDataset, PriorSpec, RngStream
 from .dirichlet_mult import calibrate_md, md_releases
-from .errors import CsvParseError, DpcountsError, InfeasibleBudgetError, UsageError
+from .errors import CsvParseError, DomainError, DpcountsError, InfeasibleBudgetError, UsageError
 from .exact_math import check_convolution_identity
 from .poisson_gamma import (
     SynthesisStrategy,
@@ -95,56 +101,64 @@ class RunConfig:
 
 
 def ingest_counts(path) -> CountDataset:
-    """Parse a counts CSV, validating as it goes; parse errors carry the
-    offending 1-based line number."""
+    """Parse a counts CSV into a dataset. Only the format is checked here:
+    the header, four fields per row, closed quotes, a non-empty group id, a
+    number for each population and an integer for each count. The rules on
+    the values are CountDataset's; a refusal of one group is reported at
+    that group's line. Every error names its 1-based line when it has one."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise CsvParseError(f"cannot read {path}: {err}") from err
-    lines = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
-             if line.strip() and not line.startswith("#")]
-    if not lines:
+    numbered = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
+                if line.strip() and not line.startswith("#")]
+    if not numbered:
         raise CsvParseError("empty file", line=1)
-    # One reader over the kept lines. A row that reads past its own line holds
-    # a quote left open; the empty line appended makes that true of the last.
-    reader = csv.reader([line for _, line in lines] + [""])
-    rows = []
-    seen = set()
-    for k, ((line_no, _), row) in enumerate(zip(lines, reader)):
-        if reader.line_num > k + 1:
-            raise CsvParseError("unclosed quote", line=line_no)
-        if k == 0:
-            if [h.strip() for h in row] != COUNTS_HEADER:
-                raise CsvParseError(f"header must be {','.join(COUNTS_HEADER)}",
-                                    line=line_no)
-            continue
-        if len(row) != 4:
-            raise CsvParseError("expected 4 columns", line=line_no)
-        group_id, state_id, pop_text, count_text = map(str.strip, row)
-        if not group_id:
-            raise CsvParseError("empty group_id", line=line_no)
-        if group_id in seen:
-            raise CsvParseError(f"duplicate group_id {group_id!r}", line=line_no)
-        seen.add(group_id)
-        try:
-            population = float(pop_text)
-        except ValueError:
-            raise CsvParseError(f"population {pop_text!r} is not a number", line=line_no)
-        if not population > 0:
-            raise CsvParseError("population must be positive", line=line_no)
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise CsvParseError(f"count {count_text!r} is not an integer", line=line_no)
-        if count < 0:
-            raise CsvParseError("count must be non-negative", line=line_no)
-        rows.append((group_id, state_id, population, count))
-    if len(rows) < 2:
-        raise CsvParseError("need at least two data rows", line=lines[-1][0])
-    group_ids, state_ids, populations, counts = zip(*rows)
-    return CountDataset.from_counts(counts, populations, group_ids=group_ids,
-                                    state_ids=state_ids)
+    # A quote left open joins the lines after it into its row, so there are
+    # fewer rows than lines; the empty line appended lets that happen to the
+    # last line too, and reads as one empty row when every quote is closed.
+    line_nos, kept = zip(*numbered, (None, ""))
+    rows = list(csv.reader(kept))
+    if len(rows) != len(kept):
+        reader = csv.reader(kept)
+        for k, _ in enumerate(reader):
+            if reader.line_num > k + 1:  # row k read past its own line
+                raise CsvParseError("unclosed quote", line=line_nos[k])
+    if [h.strip() for h in rows[0]] != COUNTS_HEADER:
+        raise CsvParseError(f"header must be {','.join(COUNTS_HEADER)}", line=line_nos[0])
+    body, data_lines = rows[1:-1], line_nos[1:]
+    if not body:
+        raise CsvParseError("no data rows", line=line_nos[0])
+    if set(map(len, body)) != {4}:
+        k = next(k for k, row in enumerate(body) if len(row) != 4)
+        raise CsvParseError("expected 4 columns", line=data_lines[k])
+    group_ids, state_ids, pop_texts, count_texts = (
+        tuple(map(str.strip, column)) for column in zip(*body))
+    if "" in group_ids:
+        raise CsvParseError("empty group_id", line=data_lines[group_ids.index("")])
+    populations = _convert(float, pop_texts, "population {!r} is not a number", data_lines)
+    counts = _convert(int, count_texts, "count {!r} is not an integer", data_lines)
+    try:
+        return CountDataset.from_counts(counts, populations, group_ids=group_ids,
+                                        state_ids=state_ids)
+    except DomainError as err:  # at the line of the group it names, if any
+        raise CsvParseError(str(err), line=None if err.index is None
+                            else data_lines[err.index]) from err
+
+
+def _convert(convert, texts, message: str, line_nos) -> list:
+    """``texts`` converted by ``convert`` as one column; the first text that
+    does not convert is reported at its line, ``message`` formatted with it."""
+    try:
+        return list(map(convert, texts))
+    except ValueError:
+        for text, line_no in zip(texts, line_nos):
+            try:
+                convert(text)
+            except ValueError:
+                raise CsvParseError(message.format(text), line=line_no) from None
+        raise
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -423,7 +437,8 @@ def _cmd_audit(config: RunConfig) -> int:
             # the exact route audits the calibrated strength rounded up to
             # integers, the mechanism it can represent
             a = integer_prior_strength(cal, populations) if config.exact else cal.a_min
-        b = a / targets
+        with np.errstate(over="ignore"):  # the audit refuses an infinite b
+            b = a / targets
         report = audit_synthesizer("pg2", config.epsilon, config.y_total,
                                    a=a, b=b, populations=populations,
                                    exact=config.exact)

@@ -127,13 +127,25 @@ class PriorModel(str, Enum):
     POISSON_GAMMA = "poisson-gamma"
 
 
-def _as_float_vector(values, name: str) -> np.ndarray:
+def _checked_positive(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array of any shape, every entry checked to be
+    finite and positive: NaN and +-inf are refused with a DomainError that
+    names ``name`` and carries the flat index of the first entry refused.
+    This is the one check of every positive parameter (prior weights,
+    strengths, rates, populations)."""
+    arr = np.asarray(values, dtype=np.float64)
+    # a NaN makes both extremes NaN, and every comparison with NaN is false
+    if arr.size and not (arr.min() > 0 and arr.max() < np.inf):
+        raise DomainError(f"{name} must be finite and positive",
+                          index=int(np.argmax(~((arr > 0) & (arr < np.inf)))))
+    return arr
+
+
+def _positive_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a nonempty 1-d vector")
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite")
-    return arr
+    return _checked_positive(arr, name)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -154,8 +166,8 @@ def _as_count_vector(values, name: str) -> np.ndarray:
             raise DomainError(f"{name} must hold integers")
         arr = rounded
     arr = arr.astype(np.int64)  # always a copy, so callers may freeze it
-    if (arr < 0).any():
-        raise DomainError(f"{name} must be non-negative")
+    if arr.min() < 0:
+        raise DomainError(f"{name} must be non-negative", index=int(np.argmax(arr < 0)))
     return arr
 
 
@@ -164,7 +176,9 @@ class CountDataset:
     """Observed group counts with their populations and labels.
 
     ``total`` is the publicly known event total, fixed across any synthetic
-    release generated from this dataset.
+    release generated from this dataset. Every rule on a dataset is checked
+    here; a refusal that one group causes carries that group's position as
+    the DomainError's ``index``, the first offending group for each rule.
     """
 
     counts: np.ndarray
@@ -175,9 +189,7 @@ class CountDataset:
 
     def __post_init__(self):
         counts = _as_count_vector(self.counts, "counts")
-        populations = _as_float_vector(self.populations, "populations")
-        if (populations <= 0).any():
-            raise DomainError("populations must be positive")
+        populations = _positive_vector(self.populations, "populations")
         with np.errstate(over="ignore"):
             if not np.isfinite(populations.sum()):
                 raise DomainError("populations must have a finite sum")
@@ -185,14 +197,16 @@ class CountDataset:
             raise DomainError("a dataset needs at least two groups")
         if populations.size != counts.size:
             raise DomainError("counts and populations must have equal length")
-        group_ids = tuple(str(g) for g in self.group_ids)
+        group_ids = tuple(map(str, self.group_ids))
         if len(group_ids) != counts.size:
             raise DomainError("group_ids length must match counts")
         if len(set(group_ids)) != len(group_ids):
-            raise DomainError("group_ids must be unique")
+            first = {gid: k for k, gid in reversed(list(enumerate(group_ids)))}
+            repeat = next(k for k, gid in enumerate(group_ids) if first[gid] != k)
+            raise DomainError(f"duplicate group_id {group_ids[repeat]!r}", index=repeat)
         state_ids = self.state_ids
         if state_ids is not None:
-            state_ids = tuple(str(s) for s in state_ids)
+            state_ids = tuple(map(str, state_ids))
             if len(state_ids) != counts.size:
                 raise DomainError("state_ids length must match counts")
         if int(self.total) != int(counts.sum()):
@@ -236,16 +250,6 @@ class CountDataset:
         )
 
 
-def _check_gamma_prior(a: np.ndarray, b: np.ndarray) -> None:
-    """Poisson-gamma hyperparameters must be finite and positive; a and b
-    may be one prior's vectors or (k, I) stacks of k priors."""
-    for name, arr in (("a", a), ("b", b)):
-        if not np.isfinite(arr).all():
-            raise DomainError(f"{name} must be finite")
-    if (a <= 0).any() or (b <= 0).any():
-        raise DomainError("a and b must be positive")
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     """Hyperparameters for either synthesizer.
@@ -264,24 +268,19 @@ class PriorSpec:
         if self.mode is PriorModel.MULTINOMIAL_DIRICHLET:
             if self.alpha is None:
                 raise DomainError("multinomial-Dirichlet prior requires alpha")
-            alpha = _as_float_vector(self.alpha, "alpha")
-            if (alpha <= 0).any():
-                raise DomainError("alpha must be positive")
+            alpha = _positive_vector(self.alpha, "alpha")
             object.__setattr__(self, "alpha", _frozen(alpha))
         elif self.mode is PriorModel.POISSON_GAMMA:
             if self.a is None or self.b is None:
                 raise DomainError("Poisson-gamma prior requires a and b")
-            a = _as_float_vector(self.a, "a")
-            b = _as_float_vector(self.b, "b")
+            a = _positive_vector(self.a, "a")
+            b = _positive_vector(self.b, "b")
             if a.size != b.size:
                 raise DomainError("a and b must have equal length")
-            _check_gamma_prior(a, b)
             object.__setattr__(self, "a", _frozen(a))
             object.__setattr__(self, "b", _frozen(b))
             if self.target_rates is not None:
-                rates = _as_float_vector(self.target_rates, "target_rates")
-                if (rates <= 0).any():
-                    raise DomainError("target_rates must be positive")
+                rates = _positive_vector(self.target_rates, "target_rates")
                 if rates.size != a.size or not np.array_equal(b, a / rates):
                     raise DomainError("b must equal a / target_rates exactly")
                 object.__setattr__(self, "target_rates", _frozen(rates))
@@ -348,9 +347,8 @@ def _checked_epsilon(epsilon) -> float:
     return epsilon
 
 
-def _check_gamma_args(shape, rate) -> None:
-    if not ((shape > 0).all() and (rate > 0).all()):
-        raise DomainError("gamma shape and rate must be positive")
+def _check_gamma_args(shape, rate) -> tuple[np.ndarray, np.ndarray]:
+    return _checked_positive(shape, "gamma shape"), _checked_positive(rate, "gamma rate")
 
 
 def sample_gamma(shape, rate, rng: RngStream, size=None):
@@ -361,9 +359,7 @@ def sample_gamma(shape, rate, rng: RngStream, size=None):
     ``gamma(shape, scale)`` is ``scale * standard_gamma(shape)``, so this
     draws exactly its values, through the one-parameter sampler.
     """
-    shape_arr = np.asarray(shape, dtype=np.float64)
-    rate_arr = np.asarray(rate, dtype=np.float64)
-    _check_gamma_args(shape_arr, rate_arr)
+    shape_arr, rate_arr = _check_gamma_args(shape, rate)
     if size is None:
         size = np.broadcast_shapes(shape_arr.shape, rate_arr.shape)
     draws = rng.generator.standard_gamma(shape_arr, size=size) * (1.0 / rate_arr)
@@ -380,9 +376,7 @@ def sample_dirichlet(alphas, rng: RngStream) -> np.ndarray:
     normal float so every component is strictly positive (draws with very
     small alphas would otherwise underflow to an exact zero).
     """
-    alphas = _as_float_vector(alphas, "alphas")
-    if (alphas <= 0).any():
-        raise DomainError("Dirichlet parameters must be positive")
+    alphas = _positive_vector(alphas, "alphas")
     raw = np.maximum(rng.generator.standard_gamma(alphas), _FLOOR)
     return raw / raw.sum()
 
@@ -426,10 +420,9 @@ def sample_releases(shapes, scale, weights, total: int, rng: RngStream,
     checked once, each row's cell probabilities as ``sample_multinomial``
     checks them, and the row totals once on the whole matrix.
     """
-    shapes = _as_float_vector(shapes, "shapes")
-    scale = np.asarray(scale, dtype=np.float64)
+    shapes = _positive_vector(shapes, "shapes")
+    scale = _checked_positive(scale, "scale")
     weights = np.asarray(weights, dtype=np.float64)
-    _check_gamma_args(shapes, scale)
     total = int(total)
     if total < 0:
         raise DomainError("total must be non-negative")
@@ -448,11 +441,13 @@ def _checked_probs(probs) -> np.ndarray:
     """Cell probabilities as sample_multinomial draws with: checked to be
     finite, non-negative and to sum to 1 within 1e-9, then divided by their
     sum."""
-    probs = _as_float_vector(probs, "probs")
-    if (probs < 0).any():
-        raise DomainError("probabilities must be non-negative")
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1 or probs.size == 0:
+        raise DomainError("probs must be a nonempty 1-d vector")
+    if not probs.min() >= 0:  # a NaN too
+        raise DomainError("probabilities must be finite and non-negative")
     psum = probs.sum()
-    if abs(psum - 1.0) > 1e-9:
+    if not abs(psum - 1.0) <= 1e-9:  # an infinite entry too
         raise DomainError(f"probabilities must sum to 1 within 1e-9, got {psum!r}")
     return probs / psum
 

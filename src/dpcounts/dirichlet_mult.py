@@ -23,6 +23,7 @@ from .core import (
     SyntheticDataset,
     _allocation_terms,
     _checked_epsilon,
+    _checked_positive,
     sample_releases,
 )
 from .errors import DomainError, UsageError
@@ -58,24 +59,20 @@ def calibrate_md(epsilon: float, z_total: int) -> MdCalibration:
 
 def md_implied_epsilon(alpha, z_total: int) -> float:
     """The budget certified by a given prior: ln(1 + z_total / min alpha)."""
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise DomainError("alpha must be positive")
+    alpha = _checked_positive(alpha, "alpha")
     return math.log1p(int(z_total) / float(alpha.min()))
 
 
 def _checked_triple(z, y, alpha):
     z = np.asarray(z, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = _checked_positive(alpha, "alpha")
     if (alpha.ndim != 1 or y.shape[-1:] != alpha.shape or y.ndim > 2
             or z.ndim not in (1, 2) or z.shape[-1:] != alpha.shape):
         raise UsageError("alpha must be a 1-d vector, and y and z each one "
                          "vector of its length or a stack of them")
     if np.any(z < 0) or np.any(y < 0):
         raise DomainError("counts must be non-negative")
-    if np.any(alpha <= 0):
-        raise DomainError("alpha must be positive")
     if np.any(z.sum(axis=-1)[..., None] != y.sum(axis=-1)):
         raise UsageError("z must have the same total as y")
     return z, y, alpha
@@ -86,14 +83,18 @@ def md_log_pmf(z, y, alpha) -> float | np.ndarray:
     after integrating the multinomial weights against their Dirichlet
     posterior given ``y``. A (k, I) batch of allocations gives k values, an
     (m, I) stack of datasets gives m, and both give an (m, k) table with a
-    row per dataset."""
+    row per dataset. A prior at which the log normalizer is not a finite
+    float (weights near either end of the float range) is refused."""
     from scipy.special import gammaln  # local: only audits and pg-exact2 load scipy
     z, y, alpha = _checked_triple(z, y, alpha)
     z_total = y.sum(axis=-1)
     ya = y + alpha
-    ya_total = ya.sum(axis=-1)
-    const = (gammaln(z_total + 1) + gammaln(ya_total) - gammaln(ya).sum(axis=-1)
-             - gammaln(z_total + ya_total))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        ya_total = ya.sum(axis=-1)
+        const = (gammaln(z_total + 1) + gammaln(ya_total) - gammaln(ya).sum(axis=-1)
+                 - gammaln(z_total + ya_total))
+    if not np.isfinite(const).all():
+        raise DomainError("the log normalizer is not finite at this prior")
     if z.ndim == 2:  # one column per allocation
         const, ya = const[..., None], ya[..., None, :]
     out = const + _allocation_terms(z, ya)

@@ -6,7 +6,13 @@ class DpcountsError(Exception):
 
 
 class DomainError(DpcountsError, ValueError):
-    """A numeric argument is outside the mathematical domain of an operation."""
+    """A numeric argument is outside the mathematical domain of an operation.
+    ``index``, when given, is the position of the first entry that breaks
+    the rule (for a dataset, the first offending group)."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class UsageError(DpcountsError, ValueError):

@@ -33,6 +33,7 @@ from .core import (
     _allocation_terms,
     _allocations,
     _checked_epsilon,
+    _checked_positive,
     _row_streams,
     sample_releases,
 )
@@ -47,12 +48,10 @@ def structure_ratio(i: int, populations, b) -> float:
     """Ratio (b_c/n_c + 2) / (b_i/n_i + 2) of group i's complement against
     group i, where the complement aggregates every other group's population
     and prior mass. Equals 1 exactly when b/n is constant across groups."""
-    n = np.asarray(populations, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    n = _checked_positive(populations, "populations")
+    b = _checked_positive(b, "b")
     if n.shape != b.shape or n.ndim != 1 or n.size < 2:
         raise UsageError("populations and b must be equal-length vectors, I >= 2")
-    if np.any(n <= 0) or np.any(b <= 0):
-        raise DomainError("populations and b must be positive")
     if not 0 <= i < n.size:
         raise UsageError("group index out of range")
     return float(_structure_ratios(n, n.sum() - n, b)[i])
@@ -72,27 +71,16 @@ def _normalized_pair_terms(y, a, log_r1: float,
                            z_total: int) -> tuple[np.ndarray, np.ndarray]:
     """(log pmf of the group-1 allocation over 0..z_total, log normalizer):
     the shared allocation terms plus z1 ln r1, and one log-sum-exp; a (k, 2)
-    stack of datasets gives k rows and k normalizers."""
+    stack of datasets gives k rows and k normalizers. Strengths at which a
+    log normalizer is not a finite float (near either end of the float
+    range) are refused."""
     from scipy.special import logsumexp  # local: only audits and pg-exact2 load scipy
     z = _allocations(z_total)
     terms = _allocation_terms(z, (y + a)[..., None, :]) + z[:, 0] * log_r1
     log_c = logsumexp(terms, axis=-1)
+    if not np.isfinite(log_c).all():
+        raise DomainError("the log normalizers are not finite at these prior strengths")
     return terms - log_c[..., None], log_c
-
-
-def _checked_pair(y, a, b, n):
-    y = np.asarray(y, dtype=np.int64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    for name, arr in (("y", y), ("a", a), ("b", b), ("n", n)):
-        if arr.shape != (2,):
-            raise UsageError(f"{name} must be a length-2 vector")
-    if np.any(y < 0):
-        raise DomainError("counts must be non-negative")
-    if np.any(a <= 0) or np.any(b <= 0) or np.any(n <= 0):
-        raise DomainError("a, b, n must be positive")
-    return y, a, b, n
 
 
 def log_normalizer_from_ratio(y, a, r1: float, z_total: int) -> float:
@@ -110,7 +98,13 @@ def log_normalizer_from_ratio(y, a, r1: float, z_total: int) -> float:
 def conditional_log_pmf_all(y, a, b, n, z_total: int) -> np.ndarray:
     """Log pmf of the group-1 allocation over 0..z_total, conditioned on the
     pair summing to z_total."""
-    y, a, b, n = _checked_pair(y, a, b, n)
+    y = np.asarray(y, dtype=np.int64)
+    a = _checked_positive(a, "a")  # b and n are checked by structure_ratio
+    for name, arr in (("y", y), ("a", a), ("b", b), ("n", n)):
+        if np.shape(arr) != (2,):
+            raise UsageError(f"{name} must be a length-2 vector")
+    if np.any(y < 0):
+        raise DomainError("counts must be non-negative")
     if z_total < 0:
         raise DomainError("z_total must be non-negative")
     return _normalized_pair_terms(y, a, math.log(structure_ratio(0, n, b)),
@@ -237,11 +231,9 @@ def _resolve_targets(data: CountDataset, target_rates, rule: TargetRule) -> np.n
     if rule is TargetRule.CUSTOM:
         if target_rates is None:
             raise UsageError("custom rule requires target_rates")
-        rates = np.asarray(target_rates, dtype=np.float64)
+        rates = _checked_positive(target_rates, "target_rates")
         if rates.shape != (data.n_groups,):
             raise UsageError("target_rates length must match the dataset")
-        if (rates <= 0).any():
-            raise DomainError("target_rates must be positive")
         return rates
     if rule is TargetRule.STATE_AVERAGE:
         return state_target_rates(data) if target_rates is None else _resolve_targets(

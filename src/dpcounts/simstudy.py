@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (_FLOOR, CountDataset, PriorModel, PriorSpec, RngStream, _check_gamma_args,
-                   _check_gamma_prior, _checked_probs, sample_dirichlet, sample_gamma,
+                   _checked_positive, _checked_probs, sample_dirichlet, sample_gamma,
                    sample_multinomial)
 from .dirichlet_mult import calibrate_md
 from .errors import DomainError, UsageError
@@ -290,7 +290,6 @@ class StudyConfig:
     )
     seed: int = 20260808
     n_states: int = 10
-    state_targets_from_truth: bool = False
     # when set, the generated scenarios are replaced by replicates of this
     # dataset's populations and (floored) crude rates
     ingested: CountDataset | None = None
@@ -328,12 +327,6 @@ def _scenario_objects(config: StudyConfig) -> list[Scenario]:
                  n_states=config.n_states)
         for k, (pop, rate) in enumerate(config.scenarios)
     ]
-
-
-def _true_state_rates(truth: GroundTruth, state_index: np.ndarray) -> np.ndarray:
-    """Population-weighted mean true rate of each state."""
-    return np.array([_weighted_mean(truth.rates, _score_group(truth.populations, state_index == s))
-                     for s in range(state_index.max() + 1)])
 
 
 class _Case(NamedTuple):
@@ -425,18 +418,14 @@ def _scenario_case(config: StudyConfig, scenario_idx: int, label: str,
     n_reps = config.n_replicates
     state_index = np.unique(np.asarray(truth.state_ids), return_inverse=True)[1]
     state_pops = np.bincount(state_index, weights=pops)
-    if config.state_targets_from_truth:
-        state_rates = np.broadcast_to(_true_state_rates(truth, state_index),
-                                      (n_reps, state_pops.size))
-    else:
-        # every row's state event totals in one bincount, row k's states
-        # offset by k * n_states; sums of integers, so exact in any order,
-        # and equal to state_target_rates' values
-        n_states = state_pops.size
-        bins = state_index + n_states * np.arange(n_reps)[:, None]
-        totals = np.bincount(bins.ravel(), weights=counts.ravel(),
-                             minlength=n_reps * n_states)
-        state_rates = _floored_rates(totals.reshape(n_reps, n_states), state_pops)
+    # every row's state event totals in one bincount, row k's states offset
+    # by k * n_states; sums of integers, so exact in any order, and equal to
+    # state_target_rates' values
+    n_states = state_pops.size
+    bins = state_index + n_states * np.arange(n_reps)[:, None]
+    totals = np.bincount(bins.ravel(), weights=counts.ravel(),
+                         minlength=n_reps * n_states)
+    state_rates = _floored_rates(totals.reshape(n_reps, n_states), state_pops)
     # lanes (replicate, budget), the budget varying fastest, then one
     # national lane per budget; national targets depend on the fixed total
     # and the populations only, so every replicate shares them
@@ -448,7 +437,8 @@ def _scenario_case(config: StudyConfig, scenario_idx: int, label: str,
     e_eps = np.tile([math.exp(eps) for eps in epsilons], n_reps + 1)
     _check_requirement(e_eps, y_total, a_min, nu)
     lane_b = (a_min[:, None] / lane_rates).reshape(n_reps + 1, len(epsilons), -1)
-    _check_gamma_prior(a_min, lane_b)
+    _checked_positive(a_min, "a")
+    _checked_positive(lane_b, "b")
     a_min = a_min.reshape(n_reps + 1, len(epsilons))
     # (replicate, budget, PG method, state), the national lanes' b repeated
     # for every replicate

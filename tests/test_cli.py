@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -625,24 +626,51 @@ _PG2_AUDIT = ["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4"]
     (["lemma-check", "--max-c", "0"], 3),
     (["lemma-check", "--max-z", "0"], 3),
     (["lemma-check", "--points", "0"], 3),
+    # non-finite prior parameters and targets, refused where they enter
+    (["audit", "--method", "md", "--epsilon", "1", "--y-total", "4", "--alpha", "nan"], 3),
+    (["audit", "--method", "md", "--epsilon", "1", "--y-total", "4", "--alpha", "inf"], 3),
+    (_PG2_AUDIT + ["--a", "nan,2"], 3),
+    (_PG2_AUDIT + ["--a", "inf,2"], 3),
+    (_PG2_AUDIT + ["--a", "inf,2", "--exact"], 3),
+    # finite parameters whose log normalizers, or b = a / target, are not finite
+    (_PG2_AUDIT + ["--a", "1e308,1e308"], 3),
+    (["audit", "--method", "md", "--epsilon", "1", "--y-total", "4", "--alpha", "1e308"], 3),
+    (_PG2_AUDIT + ["--a", "1e308,1", "--target-rates", "0.1,1"], 3),
+    (_PG2_AUDIT + ["--target-rates", "nan,1"], 3),
+    (["calibrate", "--method", "pg-custom", "--epsilon", "1", "--input", "{counts}",
+      "--target-rates", "nan,1,1"], 3),
+    (["synthesize", "--method", "pg-multinomial", "--epsilon", "1", "--input", "{counts}",
+      "--target-rates", "nan,1,1"], 3),
+    (["synthesize", "--method", "md", "--epsilon", "1", "--input", "{inf}"], 3),
 ], ids=["calibrate-tiny-eps", "synthesize-tiny-eps", "audit-tiny-eps", "simulate-tiny-eps",
         "overflowing-populations", "simulate-bad-epsilons", "simulate-no-epsilons",
         "simulate-no-scenarios", "audit-three-a", "audit-three-targets", "r-values-text",
         "r-values-zero", "r-values-zero-denominator", "max-a-zero", "max-y-total-zero",
-        "max-c-zero", "max-z-zero", "points-zero"])
+        "max-c-zero", "max-z-zero", "points-zero", "md-alpha-nan", "md-alpha-inf",
+        "pg2-a-nan", "pg2-a-inf", "pg2-exact-a-inf", "pg2-a-huge", "md-alpha-huge",
+        "pg2-b-overflows", "pg2-targets-nan", "calibrate-targets-nan",
+        "synthesize-targets-nan", "infinite-population"])
 def test_bad_input_fails_closed(tmp_path, capsys, argv, code):
-    # one error line and the exit code, no traceback and no output file
+    # one error line and the exit code, no traceback, no warning and no
+    # output file
     (tmp_path / "counts.csv").write_text(MINIMAL_CSV)
     (tmp_path / "huge.csv").write_text("group_id,state_id,population,count\n"
                                        "a,s1,1e308,3\nb,s2,1e308,4\n")
+    (tmp_path / "inf.csv").write_text(MINIMAL_CSV.replace("200.0", "inf"))
+    names_line = "{inf}" in argv  # the refused population's line is named
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    argv = [arg.format(counts=tmp_path / "counts.csv", huge=tmp_path / "huge.csv")
+    argv = [arg.format(counts=tmp_path / "counts.csv", huge=tmp_path / "huge.csv",
+                       inf=tmp_path / "inf.csv")
             for arg in argv]
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(argv + ["--output", str(out_dir / "result.out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--output", str(out_dir / "result.out")])
     assert exit_.value.code == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    if names_line:
+        assert err.startswith("error: line 3: ")
     assert list(out_dir.iterdir()) == []

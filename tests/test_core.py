@@ -369,6 +369,17 @@ class TestCountDataset:
         with pytest.raises(DomainError, match="finite sum"):
             CountDataset.from_counts([3, 4], [1e308, 1e308])
 
+    @pytest.mark.parametrize("counts,pops,ids,index", [
+        ([1, -1, -2, 4], [1.0] * 4, None, 1),
+        ([1, 2, 3, 4], [1.0, 1.0, np.nan, -1.0], None, 2),
+        ([1, 2, 3, 4], [1.0, np.inf, 0.0, 1.0], None, 1),
+        ([1, 2, 3, 4], [1.0] * 4, ["a", "b", "b", "a"], 2),
+    ], ids=["negative-count", "nan-population", "infinite-population", "duplicate-id"])
+    def test_refusal_names_the_first_offending_group(self, counts, pops, ids, index):
+        with pytest.raises(DomainError) as err:
+            CountDataset.from_counts(counts, pops, group_ids=ids)
+        assert err.value.index == index
+
     def test_arrays_frozen(self):
         data = CountDataset.from_counts([3, 7], [10.0, 20.0])
         with pytest.raises(ValueError):

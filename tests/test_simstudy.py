@@ -263,8 +263,7 @@ class TestRunStudy:
         config = self._config(
             n_groups=100, y_total=2000, n_total=2e6, n_replicates=20,
             epsilons=(0.5,),
-            scenarios=((PopMode.UNIFORM, RateMode.HETEROGENEOUS),),
-            state_targets_from_truth=True)
+            scenarios=((PopMode.UNIFORM, RateMode.HETEROGENEOUS),))
         results = run_study(config)
         by_method = {row.method: row for row in results}
         assert (by_method[SynthMethod.PG_STATE].rmse_mean
@@ -354,12 +353,10 @@ class TestRunStudy:
         return results, {s_idx: np.concatenate(blocks, axis=-1)
                          for s_idx, blocks in parts.items()}
 
-    @pytest.mark.parametrize("from_truth", [False, True], ids=["data", "truth"])
-    def test_replicate_metrics_match_per_replicate_reference(self, from_truth,
-                                                             monkeypatch):
+    def test_replicate_metrics_match_per_replicate_reference(self, monkeypatch):
         # reference: every prior built inside the replicate, weighted means
         # over masks, the contrast through the public region_contrast
-        config = self._config(n_replicates=3, state_targets_from_truth=from_truth,
+        config = self._config(n_replicates=3,
                               scenarios=((PopMode.HETEROGENEOUS, RateMode.HETEROGENEOUS),
                                          (PopMode.UNIFORM, RateMode.UNIFORM)))
         _, series = self._run_by_blocks(monkeypatch, config)
@@ -375,15 +372,11 @@ class TestRunStudy:
             pops = truth.populations
             ref_data = gen_replicate(pops, truth.rates, config.y_total,
                                      master.child(s_idx, 0, 0), state_ids=truth.state_ids)
-            ids = np.array(truth.state_ids)
-            true_state = np.empty(pops.size)
-            for state in np.unique(ids):
-                true_state[ids == state] = weighted_mean(truth.rates, pops, ids == state)
             for rep in range(config.n_replicates):
                 got = series[s_idx][:, :, rep]
                 data = gen_replicate(pops, truth.rates, config.y_total,
                                      master.child(s_idx, rep, 0), state_ids=truth.state_ids)
-                targets = true_state if from_truth else state_target_rates(data)
+                targets = state_target_rates(data)
                 assert got.shape == (4, 3 * len(config.epsilons))
                 # one stream per replicate draws its rows budget by budget
                 rows_rng = master.child(s_idx, rep, 1)
