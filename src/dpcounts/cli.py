@@ -425,7 +425,11 @@ def _cmd_audit(config: RunConfig) -> int:
         if config.target_rates is not None:
             targets = _parse_vector(config.target_rates, "target_rates")
         else:
-            targets = np.full(2, max(config.y_total, 1) / populations.sum())
+            with np.errstate(all="ignore"):  # refused just below
+                targets = np.full(2, max(config.y_total, 1) / populations.sum())
+            if not 0 < targets[0] < np.inf:
+                raise DomainError("the default target rate, y_total over the sum of the "
+                                  "populations, must be finite and positive")
         a = None if config.a is None else _parse_vector(config.a, "a")
         if any(v.shape != (2,) for v in (populations, targets, a) if v is not None):
             raise UsageError("exhaustive audit runs on two groups")
@@ -437,7 +441,7 @@ def _cmd_audit(config: RunConfig) -> int:
             # the exact route audits the calibrated strength rounded up to
             # integers, the mechanism it can represent
             a = integer_prior_strength(cal, populations) if config.exact else cal.a_min
-        with np.errstate(over="ignore"):  # the audit refuses an infinite b
+        with np.errstate(over="ignore", divide="ignore"):  # the audit refuses an infinite b
             b = a / targets
         report = audit_synthesizer("pg2", config.epsilon, config.y_total,
                                    a=a, b=b, populations=populations,

@@ -459,6 +459,30 @@ def _allocations(z_total: int) -> np.ndarray:
     return np.stack([z1, z_total - z1], axis=1)
 
 
+# libm's lgamma elementwise; it raises OverflowError where ln Gamma is too
+# large for a float
+_libm_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def _log_gamma(x) -> np.ndarray:
+    """ln Gamma(x) elementwise, as a float64 array, for positive x. An
+    argument whose ln Gamma overflows a float is refused with DomainError;
+    an infinite argument gives inf and a NaN gives NaN, for the caller's
+    finiteness check."""
+    try:
+        return np.asarray(_libm_lgamma(x), dtype=np.float64)
+    except OverflowError:
+        raise DomainError("ln Gamma overflows a float at these prior parameters") from None
+
+
+def _log_sum_exp(x) -> np.ndarray:
+    """ln sum exp(x) over the last axis, shifted by each row's maximum so
+    that no exp overflows. An infinite or NaN entry gives a non-finite
+    result, for the caller's finiteness check."""
+    top = np.max(x, axis=-1)
+    return np.log(np.exp(x - top[..., None]).sum(axis=-1)) + top
+
+
 def _allocation_terms(z, c) -> np.ndarray:
     """sum_i [ln Gamma(z_i + c_i) - ln z_i!] over the last axis, the part of
     ln p(z | y) that depends on z under both conjugate laws: c = y + alpha
@@ -466,8 +490,7 @@ def _allocation_terms(z, c) -> np.ndarray:
     broadcast, so allocations against a stack of datasets give a table.
     Groups are added one at a time, in order, so the rounding does not
     depend on how numpy splits a reduction."""
-    from scipy.special import gammaln  # local: only audits and pg-exact2 load scipy
     out = 0.0
     for i in range(z.shape[-1]):
-        out = out + gammaln(z[..., i] + c[..., i]) - gammaln(z[..., i] + 1.0)
+        out = out + _log_gamma(z[..., i] + c[..., i]) - _log_gamma(z[..., i] + 1.0)
     return out

@@ -24,6 +24,7 @@ from .core import (
     _allocation_terms,
     _checked_epsilon,
     _checked_positive,
+    _log_gamma,
     sample_releases,
 )
 from .errors import DomainError, UsageError
@@ -85,14 +86,13 @@ def md_log_pmf(z, y, alpha) -> float | np.ndarray:
     (m, I) stack of datasets gives m, and both give an (m, k) table with a
     row per dataset. A prior at which the log normalizer is not a finite
     float (weights near either end of the float range) is refused."""
-    from scipy.special import gammaln  # local: only audits and pg-exact2 load scipy
     z, y, alpha = _checked_triple(z, y, alpha)
     z_total = y.sum(axis=-1)
     ya = y + alpha
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         ya_total = ya.sum(axis=-1)
-        const = (gammaln(z_total + 1) + gammaln(ya_total) - gammaln(ya).sum(axis=-1)
-                 - gammaln(z_total + ya_total))
+        const = (_log_gamma(z_total + 1) + _log_gamma(ya_total)
+                 - _log_gamma(ya).sum(axis=-1) - _log_gamma(z_total + ya_total))
     if not np.isfinite(const).all():
         raise DomainError("the log normalizer is not finite at this prior")
     if z.ndim == 2:  # one column per allocation

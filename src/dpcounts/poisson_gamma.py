@@ -34,6 +34,7 @@ from .core import (
     _allocations,
     _checked_epsilon,
     _checked_positive,
+    _log_sum_exp,
     _row_streams,
     sample_releases,
 )
@@ -54,7 +55,14 @@ def structure_ratio(i: int, populations, b) -> float:
         raise UsageError("populations and b must be equal-length vectors, I >= 2")
     if not 0 <= i < n.size:
         raise UsageError("group index out of range")
-    return float(_structure_ratios(n, n.sum() - n, b)[i])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused just below
+        n_total = n.sum()
+        ratios = _structure_ratios(n, n_total - n, b)
+    # an overflowing population total leaves every ratio finite, and an
+    # overflowing b / n makes its own ratio 0
+    if not math.isfinite(n_total):
+        raise DomainError("populations must have a finite sum")
+    return float(_checked_positive(ratios, "structure ratios")[i])
 
 
 def _structure_ratios(n: np.ndarray, n_c: np.ndarray, b: np.ndarray,
@@ -74,10 +82,10 @@ def _normalized_pair_terms(y, a, log_r1: float,
     stack of datasets gives k rows and k normalizers. Strengths at which a
     log normalizer is not a finite float (near either end of the float
     range) are refused."""
-    from scipy.special import logsumexp  # local: only audits and pg-exact2 load scipy
     z = _allocations(z_total)
-    terms = _allocation_terms(z, (y + a)[..., None, :]) + z[:, 0] * log_r1
-    log_c = logsumexp(terms, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        terms = _allocation_terms(z, (y + a)[..., None, :]) + z[:, 0] * log_r1
+        log_c = _log_sum_exp(terms)
     if not np.isfinite(log_c).all():
         raise DomainError("the log normalizers are not finite at these prior strengths")
     return terms - log_c[..., None], log_c
@@ -234,6 +242,12 @@ def _resolve_targets(data: CountDataset, target_rates, rule: TargetRule) -> np.n
         rates = _checked_positive(target_rates, "target_rates")
         if rates.shape != (data.n_groups,):
             raise UsageError("target_rates length must match the dataset")
+        # b = a / rate: at a rate below 1 / the largest float (a subnormal
+        # one) b is not a finite float even at a = 1
+        with np.errstate(over="ignore"):
+            if not np.isfinite(1.0 / rates).all():
+                raise DomainError("target_rates must be at least 1 / the largest float, "
+                                  "where b = a / rate stays finite")
         return rates
     if rule is TargetRule.STATE_AVERAGE:
         return state_target_rates(data) if target_rates is None else _resolve_targets(
@@ -281,8 +295,11 @@ def calibrate_pg_budgets(epsilons, data: CountDataset, target_rates=None,
     lam0 = _resolve_targets(data, target_rates, rule)
     total, n = data.total, data.populations
     rates, index = np.unique(lam0, return_inverse=True)
-    roots, nu, evaluations = _calibrate_lanes(
-        epsilons, n, total, np.broadcast_to(rates, (len(epsilons), rates.size)), index)
+    # a strength whose b = a / rate overflows certifies a NaN budget, which
+    # the bracket takes as not met
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots, nu, evaluations = _calibrate_lanes(
+            epsilons, n, total, np.broadcast_to(rates, (len(epsilons), rates.size)), index)
     a_min = np.repeat(roots[:, None], n.size, axis=1)
     r = _structure_ratios(n, n.sum() - n, a_min / lam0)
     return tuple(

@@ -642,6 +642,22 @@ _PG2_AUDIT = ["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4"]
     (["synthesize", "--method", "pg-multinomial", "--epsilon", "1", "--input", "{counts}",
       "--target-rates", "nan,1,1"], 3),
     (["synthesize", "--method", "md", "--epsilon", "1", "--input", "{inf}"], 3),
+    # sums and quotients of finite parameters that overflow, refused where
+    # they are formed: the b total, the population total, b / population
+    (_PG2_AUDIT + ["--a", "1e308,1e308", "--target-rates", "1,1"], 3),
+    (_PG2_AUDIT + ["--populations", "1e308,1e308"], 3),
+    (_PG2_AUDIT + ["--populations", "1,1e-320", "--a", "2,2"], 3),
+    (_PG2_AUDIT + ["--target-rates", "0,1", "--a", "2,2"], 3),
+    # a log normalizer whose terms each are finite but whose sum is not
+    (_PG2_AUDIT + ["--a", "2e305,2e305"], 3),
+    # subnormal targets, whose b = a / target is not a finite float
+    (["calibrate", "--method", "pg-custom", "--epsilon", "1", "--input", "{counts}",
+      "--target-rates", "1e-320,1,1"], 3),
+    (["synthesize", "--method", "pg-multinomial", "--epsilon", "1", "--input", "{counts}",
+      "--target-rates", "1e-320,1,1"], 3),
+    # a tiny normal target: b overflows before any strength meets the budget
+    (["calibrate", "--method", "pg-custom", "--epsilon", "0.01", "--input", "{counts}",
+      "--target-rates", "1e-305,1,1"], 2),
 ], ids=["calibrate-tiny-eps", "synthesize-tiny-eps", "audit-tiny-eps", "simulate-tiny-eps",
         "overflowing-populations", "simulate-bad-epsilons", "simulate-no-epsilons",
         "simulate-no-scenarios", "audit-three-a", "audit-three-targets", "r-values-text",
@@ -649,7 +665,10 @@ _PG2_AUDIT = ["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4"]
         "max-c-zero", "max-z-zero", "points-zero", "md-alpha-nan", "md-alpha-inf",
         "pg2-a-nan", "pg2-a-inf", "pg2-exact-a-inf", "pg2-a-huge", "md-alpha-huge",
         "pg2-b-overflows", "pg2-targets-nan", "calibrate-targets-nan",
-        "synthesize-targets-nan", "infinite-population"])
+        "synthesize-targets-nan", "infinite-population", "pg2-b-total-overflows",
+        "pg2-population-total-overflows", "pg2-b-over-population-overflows",
+        "pg2-target-zero", "pg2-terms-overflow", "calibrate-targets-subnormal",
+        "synthesize-targets-subnormal", "calibrate-b-overflows-in-bracket"])
 def test_bad_input_fails_closed(tmp_path, capsys, argv, code):
     # one error line and the exit code, no traceback, no warning and no
     # output file

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from dpcounts.core import (
     CountDataset,
@@ -16,6 +16,8 @@ from dpcounts.core import (
     SyntheticDataset,
     _allocation_terms,
     _allocations,
+    _log_gamma,
+    _log_sum_exp,
     sample_dirichlet,
     sample_gamma,
     sample_multinomial,
@@ -312,8 +314,8 @@ class TestAllocationKernel:
         # the audits' byte-identical reports rest on this rounding order
         z = _allocations(12)
         c = np.array([0.3, 41.7])
-        expected = (gammaln(z[:, 0] + c[0]) - gammaln(z[:, 0] + 1.0)
-                    + gammaln(z[:, 1] + c[1]) - gammaln(z[:, 1] + 1.0))
+        expected = (_log_gamma(z[:, 0] + c[0]) - _log_gamma(z[:, 0] + 1.0)
+                    + _log_gamma(z[:, 1] + c[1]) - _log_gamma(z[:, 1] + 1.0))
         assert np.array_equal(_allocation_terms(z, c), expected)
 
     # With one group the kernel is the z-dependent part of the negative
@@ -343,6 +345,56 @@ class TestAllocationKernel:
         np.testing.assert_allclose(got, stats.nbinom.logpmf(np.arange(cutoff + 1), r, 1 - p),
                                    rtol=1e-10, atol=0)
         assert np.exp(got).sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# the arguments the log-gamma kernel sees: strengths and counts plus
+# strengths, from the smallest normal float up
+_LOG_GAMMA_ARGS = st.floats(min_value=float(np.finfo(np.float64).tiny), max_value=1e300)
+
+
+class TestLogKernels:
+    """The package's own log-gamma and log-sum-exp against scipy, which only
+    the tests use."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(_LOG_GAMMA_ARGS, min_size=1, max_size=8))
+    def test_log_gamma_matches_scipy(self, x):
+        # relative to |ln Gamma| or 1, whichever is larger: near the zeros of
+        # ln Gamma at 1 and 2 libm's lgamma and scipy differ by about 1e-16
+        # absolute, a large relative difference on a value near 0
+        x = np.array(x)
+        got, ref = _log_gamma(x), gammaln(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert (np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0)).all()
+
+    @pytest.mark.parametrize("x", [1.0 + 1e-7, 1.0 - 1e-4, 2.0 - 2.5e-5, 2.0 + 3e-7, 0.5, 1e-300])
+    def test_log_gamma_near_its_zeros_and_pole(self, x):
+        assert abs(_log_gamma(x) - gammaln(x)) <= 1e-14 * max(abs(gammaln(x)), 1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.floats(min_value=1e306, max_value=1e308))
+    def test_log_gamma_overflow_is_refused(self, x):
+        with pytest.raises(DomainError, match="overflows"):
+            _log_gamma(np.array([2.5, x]))
+
+    def test_log_gamma_passes_non_finite_arguments_on(self):
+        got = _log_gamma(np.array([np.inf, np.nan]))
+        assert got[0] == np.inf and np.isnan(got[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(st.floats(-1e300, 1e300), min_size=width, max_size=width),
+        min_size=1, max_size=5)))
+    def test_log_sum_exp_matches_scipy(self, rows):
+        x = np.array(rows)
+        got, ref = _log_sum_exp(x), logsumexp(x, axis=-1)
+        assert got.shape == ref.shape
+        assert (np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0)).all()
+
+    def test_log_sum_exp_of_a_non_finite_row_is_not_finite(self):
+        with np.errstate(invalid="ignore"):  # as its caller runs it
+            got = _log_sum_exp(np.array([[0.0, np.inf], [0.0, np.nan], [1.0, 2.0]]))
+        assert not np.isfinite(got[:2]).any() and np.isfinite(got[2])
 
 
 class TestCountDataset:

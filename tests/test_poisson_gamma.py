@@ -49,6 +49,18 @@ class TestStructureRatio:
         r1 = structure_ratio(1, [1.0, 3.0], [0.5, 4.0])
         assert r0 * r1 == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n,b", [
+        ([1e308, 1e308], [2.0, 2.0]),   # population total overflows
+        ([1.0, 1.0], [1e308, 1e308]),   # b total overflows
+        ([1.0, 1e-320], [0.5, 0.5]),    # b / n overflows
+        ([1e-320, 1.0], [0.5, 0.5]),
+        ([1.0, 1.0, 1e-320], [0.5, 0.5, 0.5]),
+    ], ids=["n-total", "b-total", "b-over-n", "b-over-n-first", "b-over-n-of-three"])
+    def test_overflow_is_refused_for_every_group(self, n, b):
+        for i in range(len(n)):
+            with pytest.raises(DomainError, match="finite"):
+                structure_ratio(i, n, b)
+
 
 class TestConditionalPmf:
     def test_symmetric_instance(self):

@@ -1,11 +1,9 @@
-"""Import contract: scipy stays off the start-up path.
+"""Import contract: no command needs scipy.
 
-Only the audit and exact-pair kernels need ``scipy.special``, and they
-import it when first called, so ``import dpcounts.cli`` and every command
-that never calls them start without it. The check runs in a fresh
-interpreter, because this test process has scipy loaded already; it
-inherits this process's warning options and development mode, so a lazy
-first import also runs under them.
+The package computes its log-gamma and log-sum-exp itself, so scipy is a
+test-only dependency. The check runs every command in a fresh interpreter
+in which ``import scipy`` fails, because this test process has scipy loaded
+already; it inherits this process's warning options and development mode.
 """
 
 import json
@@ -26,43 +24,45 @@ c4,s2,300.0,5
 """
 
 # run in order in one interpreter, with {counts} and {pair} standing for a
-# small counts file and a two-group one; each entry is (command line,
-# whether scipy is loaded once it has run)
+# small counts file and a two-group one; each must exit 0
 COMMANDS = [
-    ("synthesize --method md --epsilon 1 --m 2 --input {counts}", False),
-    ("synthesize --method pg-multinomial --epsilon 1 --input {counts}", False),
-    ("synthesize --method pg-multinomial --epsilon 1 --input {counts} "
-     "--target-rule state --state-noise-epsilon 1", False),
-    ("calibrate --method md --epsilon 1 --z-total 10", False),
-    ("calibrate --method pg-national --epsilon 1 --input {counts}", False),
-    ("lemma-check", False),
-    ("bound-sweep --max-a 2 --max-y-total 4", False),
-    ("simulate --replicates 2 --n-groups 20 --y-total 100", False),
-    ("audit --method pg2 --epsilon 1 --y-total 4 --populations 1,4 "
-     "--target-rates 0.8,0.25", True),
-    ("synthesize --method pg-exact2 --epsilon 1 --input {pair}", True),
+    "synthesize --method md --epsilon 1 --m 2 --input {counts}",
+    "synthesize --method pg-multinomial --epsilon 1 --input {counts}",
+    "synthesize --method pg-multinomial --epsilon 1 --input {counts} "
+    "--target-rule state --state-noise-epsilon 1",
+    "calibrate --method md --epsilon 1 --z-total 10",
+    "calibrate --method pg-national --epsilon 1 --input {counts}",
+    "lemma-check",
+    "bound-sweep --max-a 2 --max-y-total 4",
+    "simulate --replicates 2 --n-groups 20 --y-total 100",
+    "audit --method md --epsilon 1 --y-total 4",
+    "audit --method pg2 --epsilon 1 --y-total 4 --populations 1,4 --target-rates 0.8,0.25",
+    "audit --method pg2 --epsilon 1 --y-total 4 --populations 1,4 --target-rates 0.8,0.25 "
+    "--exact",
+    "synthesize --method pg-exact2 --epsilon 1 --input {pair}",
 ]
 
 SCRIPT = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
 import dpcounts.cli as cli
-report = [["import", 0, "scipy" in sys.modules]]
+report = []
 for k, argv in enumerate(json.loads(sys.argv[1])):
     try:
         cli.main(argv + ["--output", f"out{k}.dat"])
     except SystemExit as done:
         code = done.code
-    report.append([argv[0], code, "scipy" in sys.modules])
+    report.append([argv[0], code])
 print(json.dumps(report))
 """
 
 
-def test_scipy_loads_only_for_audits_and_exact_pairs(tmp_path):
+def test_no_command_needs_scipy(tmp_path):
     counts = tmp_path / "counts.csv"
     counts.write_text(CSV)
     pair = tmp_path / "pair.csv"
     pair.write_text("".join(CSV.splitlines(keepends=True)[:3]))
-    argvs = [command.format(counts=counts, pair=pair).split() for command, _ in COMMANDS]
+    argvs = [command.format(counts=counts, pair=pair).split() for command in COMMANDS]
     flags = [f"-W{option}" for option in sys.warnoptions]
     if sys.flags.dev_mode:
         flags += ["-X", "dev"]
@@ -71,6 +71,4 @@ def test_scipy_loads_only_for_audits_and_exact_pairs(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    expected = [["import", 0, False]] + [[command.split()[0], 0, loads]
-                                         for command, loads in COMMANDS]
-    assert report == expected, proc.stderr
+    assert report == [[command.split()[0], 0] for command in COMMANDS], proc.stderr
