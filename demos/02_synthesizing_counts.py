@@ -29,8 +29,7 @@ print("\nbaseline release      :", synth.counts,
 # Poisson-gamma smoothing toward the national rate keeps population
 # structure in the release.
 cal = dp.calibrate_pg(eps, data)
-synth = dp.pg_synthesize(data, cal.prior(), dp.SynthesisStrategy.LAMBDA_MULTINOMIAL,
-                         dp.RngStream(42))
+synth = dp.pg_synthesize(data, cal.prior(), dp.RngStream(42))
 print("\nnational-target release:", synth.counts,
       f"(certified eps = {synth.provenance.epsilon:.3f})")
 
@@ -41,17 +40,14 @@ noisy_targets = dp.sanitize_state_rates(data, noise_epsilon=0.5,
                                         rng=dp.RngStream(7))
 cal = dp.calibrate_pg(eps, data, target_rates=noisy_targets,
                       rule=dp.TargetRule.CUSTOM)
-synth = dp.pg_synthesize(data, cal.prior(),
-                         dp.SynthesisStrategy.LAMBDA_MULTINOMIAL,
-                         dp.RngStream(42))
+synth = dp.pg_synthesize(data, cal.prior(), dp.RngStream(42))
 print("\nstate-target release   :", synth.counts)
 print("sanitized state targets:", np.round(noisy_targets * 1e5, 1), "per 100k")
 
-# For a pair of groups the allocation can be drawn from its exact
-# conditional pmf instead of through the rate representation.
+# A pair of groups is drawn from its exact conditional pmf instead of
+# through the rate representation: the law the two-group audits certify.
 pair = dp.CountDataset.from_counts([9, 21], [10_000.0, 90_000.0])
 cal = dp.calibrate_pg(eps, pair)
-synth = dp.pg_synthesize(pair, cal.prior(), dp.SynthesisStrategy.EXACT_PAIR,
-                         dp.RngStream(3))
+synth = dp.pg_synthesize(pair, cal.prior(), dp.RngStream(3))
 print("\nexact two-group release:", synth.counts,
       "strategy =", synth.provenance.strategy)

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .poisson_gamma import (
     PgCalibration,
-    SynthesisStrategy,
     TargetRule,
     calibrate_pg,
     calibrate_pg_budgets,

@@ -34,6 +34,7 @@ from .poisson_gamma import _normalized_pair_terms, normalizer_ratio_bound, struc
 AUDIT_SLACK = 1e-9        # numerical slack allowed on the budget comparison
 CROSS_CHECK_TOL = 1e-10   # agreement required between ratio evaluation routes
 ENUMERATION_CAP = 12      # largest total audited exhaustively
+EXACT_STRENGTH_CAP = 10_000  # largest prior strength the exact route takes
 
 
 @dataclass(frozen=True)
@@ -182,9 +183,9 @@ def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
     ``mechanism`` is 'md' (needs alpha) or 'pg2' (needs a, b, populations).
     Each is checked here, for every route: two entries, finite and positive.
     ``exact=True`` switches the pg2 route to arbitrary-precision rationals,
-    which requires integer a (integral floats such as 3.0 count); any other
-    a is refused with DomainError. Totals above the enumeration cap are
-    refused.
+    which requires integer a (integral floats such as 3.0 count) up to
+    EXACT_STRENGTH_CAP; any other a is refused with DomainError. Totals
+    above the enumeration cap are refused.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
@@ -202,8 +203,10 @@ def audit_synthesizer(mechanism: str, epsilon: float, y_total: int, *,
     elif mechanism == "pg2":
         if a is None or b is None or populations is None:
             raise UsageError("pg2 audit requires a, b, populations")
-        if exact and not all(float(v).is_integer() for v in np.ravel(a)):
-            raise DomainError("exact audit requires integer a")
+        # the exact integers, and the route's cost, grow without bound in a
+        if exact and not all(float(v).is_integer() and v <= EXACT_STRENGTH_CAP
+                             for v in np.ravel(a)):
+            raise DomainError(f"exact audit requires integer a <= {EXACT_STRENGTH_CAP}")
         table = (_pg2_exact_table if exact else _pg2_table)(
             _two_groups(a, "a"), _two_groups(b, "b"), _two_groups(populations, "populations"),
             y_total)

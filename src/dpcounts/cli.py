@@ -41,7 +41,6 @@ from .dirichlet_mult import calibrate_md, md_releases
 from .errors import CsvParseError, DomainError, DpcountsError, InfeasibleBudgetError, UsageError
 from .exact_math import check_convolution_identity
 from .poisson_gamma import (
-    SynthesisStrategy,
     TargetRule,
     calibrate_pg,
     integer_prior_strength,
@@ -365,7 +364,7 @@ def _cmd_synthesize(config: RunConfig) -> int:
         alpha_min = calibrate_md(config.epsilon, data.total).alpha_min
         prior = PriorSpec.multinomial_dirichlet(np.full(data.n_groups, alpha_min))
         counts, provenance = md_releases(data, prior, rng, stream_ids)
-    elif config.method in ("pg-exact2", "pg-multinomial"):
+    elif config.method == "pg-multinomial":
         targets, rule = _pg_targets(config, data, rng.child(8))
         if rule is TargetRule.STATE_AVERAGE:
             # raw state rates come from the confidential data, which the
@@ -375,10 +374,7 @@ def _cmd_synthesize(config: RunConfig) -> int:
         if _noised_state_targets(config):
             noise_epsilon = config.state_noise_epsilon
         cal = calibrate_pg(config.epsilon, data, target_rates=targets, rule=rule)
-        prior = cal.prior()
-        strategy = (SynthesisStrategy.EXACT_PAIR if config.method == "pg-exact2"
-                    else SynthesisStrategy.LAMBDA_MULTINOMIAL)
-        counts, provenance = pg_releases(data, prior, strategy, rng, stream_ids)
+        counts, provenance = pg_releases(data, cal.prior(), rng, stream_ids)
     else:
         raise UsageError(f"unknown synthesize method {config.method!r}")
     table = _table_text(config, ["group_id", "replicate", "z"],
@@ -625,8 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cal)
 
     syn = sub("synthesize", "generate synthetic count releases")
-    syn.add_argument("--method",
-                     choices=["md", "pg-exact2", "pg-multinomial"])
+    syn.add_argument("--method", choices=["md", "pg-multinomial"],
+                     help="pg-multinomial draws two groups from their exact pair "
+                          "pmf, and more through rates and one multinomial")
     syn.add_argument("--epsilon", type=float)
     syn.add_argument("--input", dest="input_path")
     syn.add_argument("--m", type=int, dest="m_datasets",
@@ -649,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--target-rates", dest="target_rates")
     aud.add_argument("--exact", action="store_true",
                      help="pg2 only: exact rational arithmetic, which needs "
-                          "integer a; without --a, the calibrated strength is "
-                          "rounded up to integers"),
+                          "integer a up to 10000; without --a, the calibrated "
+                          "strength is rounded up to integers"),
     _add_common(aud)
 
     sim = sub("simulate", "run the four-scenario utility study")

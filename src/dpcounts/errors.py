@@ -17,7 +17,7 @@ class DomainError(DpcountsError, ValueError):
 
 class UsageError(DpcountsError, ValueError):
     """An operation was called in a way that violates its contract
-    (mode mismatch, malformed neighbor pair, strategy not applicable)."""
+    (mode mismatch, malformed neighbor pair, wrong vector length)."""
 
 
 class InfeasibleBudgetError(DpcountsError):

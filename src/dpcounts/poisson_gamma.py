@@ -56,12 +56,17 @@ def structure_ratio(i: int, populations, b) -> float:
     if not 0 <= i < n.size:
         raise UsageError("group index out of range")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused just below
-        n_total = n.sum()
-        ratios = _structure_ratios(n, n_total - n, b)
-    # an overflowing population total leaves every ratio finite, and an
-    # overflowing b / n makes its own ratio 0
-    if not math.isfinite(n_total):
-        raise DomainError("populations must have a finite sum")
+        totals = n.sum(), b.sum()
+        # each complement as its prefix sum plus its suffix sum, which never
+        # cancels when one group dominates: at I = 2, it is the other group
+        nb, pad = np.stack([n, b]), np.zeros((2, 1))
+        n_c, b_c = (np.cumsum(np.hstack([pad, nb[:, :-1]]), axis=1)
+                    + np.cumsum(np.hstack([pad, nb[:, :0:-1]]), axis=1)[:, ::-1])
+        ratios = (b_c / n_c + 2.0) / (b / n + 2.0)
+    # an overflowing total can leave every ratio finite, and an overflowing
+    # b / n makes its own ratio 0
+    if not all(map(math.isfinite, totals)):
+        raise DomainError("populations and b must have a finite sum")
     return float(_checked_positive(ratios, "structure ratios")[i])
 
 
@@ -487,15 +492,10 @@ def _budget_of_penalty(nu, a, z_total: int):
     return np.log(nu * (z_total + a) / a)
 
 
-class SynthesisStrategy(str, Enum):
-    EXACT_PAIR = "exact-enumeration-2"
-    LAMBDA_MULTINOMIAL = "lambda-then-multinomial"
-
-
 def sample_pair_allocation(log_pmf: np.ndarray, rng: RngStream, size=None):
     """Inverse-CDF draw of the group-1 allocation from a log pmf over
-    0..z_total. This is the sampling kernel of the exact-enumeration
-    synthesis path; ``size`` draws share one stream."""
+    0..z_total. This is the sampling kernel of the two-group release route;
+    ``size`` draws share one stream."""
     pmf = np.exp(np.asarray(log_pmf, dtype=np.float64))
     cdf = np.cumsum(pmf / pmf.sum())
     u = rng.generator.random(size)
@@ -506,33 +506,32 @@ def sample_pair_allocation(log_pmf: np.ndarray, rng: RngStream, size=None):
     return z1.astype(np.int64)
 
 
-def pg_releases(data: CountDataset, prior: PriorSpec, strategy: SynthesisStrategy,
-                rng: RngStream, stream_ids=None) -> tuple[np.ndarray, Provenance]:
+def pg_releases(data: CountDataset, prior: PriorSpec, rng: RngStream,
+                stream_ids=None) -> tuple[np.ndarray, Provenance]:
     """Synthetic releases with the fixed public total as a count matrix, one
     row per stream id (one row on ``rng`` from where it stands without ids),
     and their provenance.
 
-    EXACT_PAIR samples the two-group allocation from its exact conditional
-    pmf by inverse CDF (audit path, I = 2 only). LAMBDA_MULTINOMIAL draws
-    posterior rates then allocates the total by a multinomial with
-    rate-weighted populations (production path, any I), through
-    ``core.sample_releases``. The pmf and the certified budget are computed
-    once, whatever the number of rows.
+    Two groups draw the allocation from its exact conditional pmf by inverse
+    CDF ("exact-enumeration-2"), the law the two-group certificate and audits
+    analyse. More draw posterior rates, then allocate the total by one
+    multinomial over rate-weighted populations ("lambda-then-multinomial"),
+    through ``core.sample_releases``. The pmf and the certified budget are
+    computed once, whatever the number of rows.
     """
     if prior.mode is not PriorModel.POISSON_GAMMA:
         raise UsageError("pg synthesis requires a Poisson-gamma prior")
     if prior.a.size != data.n_groups:
         raise UsageError("prior length does not match the dataset")
-    strategy = SynthesisStrategy(strategy)
-    if strategy is SynthesisStrategy.EXACT_PAIR:
-        if data.n_groups != 2:
-            raise UsageError("exact enumeration synthesis requires exactly 2 groups")
+    if data.n_groups == 2:
+        strategy = "exact-enumeration-2"
         log_pmf = conditional_log_pmf_all(data.counts, prior.a, prior.b,
                                           data.populations, data.total)
         z1 = np.array([sample_pair_allocation(log_pmf, stream)
                        for stream in _row_streams(rng, stream_ids)], dtype=np.int64)
         counts = np.stack([z1, data.total - z1], axis=1)
     else:
+        strategy = "lambda-then-multinomial"
         counts = sample_releases(data.counts + prior.a, 1.0 / (data.populations + prior.b),
                                  data.populations, data.total, rng, stream_ids)
     provenance = Provenance(
@@ -540,14 +539,14 @@ def pg_releases(data: CountDataset, prior: PriorSpec, strategy: SynthesisStrateg
         epsilon=pg_implied_epsilon(data.populations, prior.a, prior.b,
                                    data.total, data.total),
         seed=rng.seed,
-        strategy=strategy.value,
+        strategy=strategy,
     )
     return counts, provenance
 
 
-def pg_synthesize(data: CountDataset, prior: PriorSpec,
-                  strategy: SynthesisStrategy, rng: RngStream) -> SyntheticDataset:
+def pg_synthesize(data: CountDataset, prior: PriorSpec, rng: RngStream) -> SyntheticDataset:
     """Draw one synthetic dataset with the fixed public total, on ``rng``
-    from where it stands, by ``strategy`` as ``pg_releases`` draws it."""
-    counts, provenance = pg_releases(data, prior, strategy, rng)
+    from where it stands, by the route ``pg_releases`` takes for its number
+    of groups."""
+    counts, provenance = pg_releases(data, prior, rng)
     return SyntheticDataset(counts=counts[0], total=data.total, provenance=provenance)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dpcounts.cli as cli
+from dpcounts.audit import audit_synthesizer
 from dpcounts.cli import RunConfig, config_from_args, ingest_counts, run, write_counts
 from dpcounts.core import (CountDataset, RngStream, sample_dirichlet, sample_gamma,
                            sample_multinomial)
@@ -216,6 +217,17 @@ class TestAuditCommand:
         assert doc["params"]["a"] == [3.0, 3.0]
         assert doc["params"]["b"] == [3.75, 12.0]
 
+    def test_dominant_group_is_audited(self, tmp_path, capsys):
+        # each complement is the other group, not a total that cancels
+        out = tmp_path / "audit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4",
+                            "--populations", "1e16,1", "--a", "2,2", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["result"]["satisfied"] is False
+
     @pytest.mark.parametrize("argv", [
         ["--method", "pg2", "--populations", "1,4", "--target-rates", "0.8,0.25",
          "--a", "2.9,2.9"],
@@ -228,6 +240,19 @@ class TestAuditCommand:
         assert code == 3
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
+
+
+RELEASE_CSV = """group_id,state_id,population,count
+01001,s01,1200.0,4
+01003,s01,800.0,2
+02013,s02,1500.0,5
+02016,s02,500.0,1
+"""
+
+PAIR_CSV = """group_id,state_id,population,count
+01001,s01,10.0,4
+01003,s02,30.0,6
+"""
 
 
 class TestSynthesizeCommand:
@@ -248,13 +273,50 @@ class TestSynthesizeCommand:
         assert sidecar["result"]["method"] == "multinomial-dirichlet"
 
     def test_pg_exact_pair(self, tmp_path):
+        # two groups take the exact route: inverse CDF over the conditional pmf
+        src = tmp_path / "pair.csv"
+        src.write_text(PAIR_CSV)
+        out = tmp_path / "synthetic.csv"
+        code = run_cli(["synthesize", "--method", "pg-multinomial", "--epsilon", "1",
+                        "--input", str(src), "--seed", "5", "--output", str(out)])
+        assert code == 0
+        data = ingest_counts(src)
+        prior = calibrate_pg(1.0, data).prior()
+        log_pmf = conditional_log_pmf_all(data.counts, prior.a, prior.b,
+                                          data.populations, data.total)
+        z1 = sample_pair_allocation(log_pmf, RngStream(5).child(100, 0))
+        assert out.read_text().splitlines()[4:] == [f"01001,0,{z1}", f"01003,0,{10 - z1}"]
+        result = json.loads(out.with_suffix(".provenance.json").read_text())["result"]
+        assert result["strategy"] == "exact-enumeration-2"
+
+    @pytest.mark.parametrize("epsilon,audited", [(0.5, 0.49998), (1.0, 0.99997),
+                                                 (2.0, 1.99994)])
+    def test_two_group_counterexample_ships_the_certified_law(self, tmp_path, epsilon,
+                                                             audited):
+        # the rate-then-multinomial law reaches a log ratio of 7.25 on this
+        # file at epsilon 2; the exact pair law is what the audit certifies
         src = tmp_path / "pair.csv"
         src.write_text("group_id,state_id,population,count\n"
-                       "a,s1,10.0,4\nb,s2,30.0,6\n")
-        out = tmp_path / "synthetic.csv"
-        code = run_cli(["synthesize", "--method", "pg-exact2", "--epsilon", "1",
-                        "--input", str(src), "--output", str(out)])
-        assert code == 0
+                       "a,s1,298.0,5\nb,s2,3900000.0,1\n")
+        out = tmp_path / "release.csv"
+        seed, m = 17, 4
+        assert run_cli(["synthesize", "--method", "pg-multinomial",
+                        "--epsilon", str(epsilon), "--m", str(m), "--seed", str(seed),
+                        "--input", str(src), "--output", str(out)]) == 0
+        result = json.loads(out.with_suffix(".provenance.json").read_text())["result"]
+        assert result["strategy"] == "exact-enumeration-2"
+        data = ingest_counts(src)
+        prior = calibrate_pg(epsilon, data).prior()
+        log_pmf = conditional_log_pmf_all(data.counts, prior.a, prior.b,
+                                          data.populations, data.total)
+        body = out.read_text().splitlines()[4:]
+        for k in range(m):
+            z1 = sample_pair_allocation(log_pmf, RngStream(seed).child(100, k))
+            assert body[2 * k:2 * k + 2] == [f"a,{k},{z1}", f"b,{k},{6 - z1}"]
+        report = audit_synthesizer("pg2", epsilon, 6, a=prior.a, b=prior.b,
+                                   populations=data.populations)
+        assert report.satisfied
+        assert report.max_abs_log_ratio == pytest.approx(audited, abs=1e-5)
 
     def test_reproducible_across_runs(self, tmp_path, counts_file):
         out = tmp_path / "synthetic.csv"
@@ -315,30 +377,20 @@ class TestSynthesizeCommand:
         assert body[1] == '"b,x",0,' + rows[1][2]
         assert body[2] == '"c""q",0,' + rows[2][2]
 
-    @pytest.mark.parametrize("method", ["pg-exact2", "pg-multinomial"])
-    def test_state_targets_without_noise_are_refused(self, tmp_path, capsys, method):
+    # ids name the release route: the exact pair route at two groups, rates
+    # and one multinomial at more
+    @pytest.mark.parametrize("csv_text", [PAIR_CSV, RELEASE_CSV],
+                             ids=["pg-exact2", "pg-multinomial"])
+    def test_state_targets_without_noise_are_refused(self, tmp_path, capsys, csv_text):
         # raw state rates leak the confidential state totals: fail closed
-        src = tmp_path / "pair.csv"
-        src.write_text(PAIR_CSV)
-        code = run_cli(["synthesize", "--method", method, "--epsilon", "1",
+        src = tmp_path / "counts.csv"
+        src.write_text(csv_text)
+        code = run_cli(["synthesize", "--method", "pg-multinomial", "--epsilon", "1",
                         "--input", str(src), "--target-rule", "state",
                         "--output", str(tmp_path / "release.csv")])
         assert code == 3
         assert "--state-noise-epsilon" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
-
-
-RELEASE_CSV = """group_id,state_id,population,count
-01001,s01,1200.0,4
-01003,s01,800.0,2
-02013,s02,1500.0,5
-02016,s02,500.0,1
-"""
-
-PAIR_CSV = """group_id,state_id,population,count
-01001,s01,10.0,4
-01003,s02,30.0,6
-"""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv"]
 
 
 class TestReleaseFormat:
@@ -347,7 +399,7 @@ class TestReleaseFormat:
         ("pg-multinomial", [], RELEASE_CSV),
         ("pg-multinomial", ["--target-rule", "state", "--state-noise-epsilon", "0.5"],
          RELEASE_CSV),
-        ("pg-exact2", [], PAIR_CSV),
+        ("pg-multinomial", [], PAIR_CSV),  # the exact pair route
     ], ids=["md", "pg-national", "pg-state-noise", "pg-exact2"])
     def test_every_body_line_is_group_replicate_count(self, tmp_path, method, extra,
                                                       csv_text):
@@ -432,7 +484,7 @@ class TestReleaseKernel:
         src.write_text(PAIR_CSV if method == "pg-exact2" else RELEASE_CSV)
         out = tmp_path / "release.csv"
         seed, epsilon = 23, 1.0
-        cli_method = method if method in ("md", "pg-exact2") else "pg-multinomial"
+        cli_method = "md" if method == "md" else "pg-multinomial"
         assert run_cli(["synthesize", "--method", cli_method, "--epsilon", str(epsilon),
                         "--input", str(src), "--m", str(m), "--seed", str(seed),
                         "--output", str(out), *extra]) == 0
@@ -528,11 +580,16 @@ class TestErrorsAndConfig:
         assert doc["result"]["z_total"] == 10000
         assert doc["meta"]["seed"] == 12
 
-    def test_usage_error_exits_three(self, tmp_path, counts_file):
-        code = run_cli(["synthesize", "--method", "pg-exact2", "--epsilon", "1",
-                        "--input", str(counts_file),
-                        "--output", str(tmp_path / "o.csv")])
-        assert code == 3  # exact pair synthesis needs exactly two groups
+    def test_usage_error_exits_three(self, tmp_path, capsys):
+        # the pair route is chosen by the group count, not by a method
+        (tmp_path / "pair.csv").write_text(PAIR_CSV)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["synthesize", "--method", "pg-exact2", "--epsilon", "1",
+                      "--input", str(tmp_path / "pair.csv"),
+                      "--output", str(tmp_path / "o.csv")])
+        assert exit_.value.code == 3
+        assert "'md', 'pg-multinomial'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
 
     @pytest.mark.parametrize("argv", [
         ["calibrate", "--method", "md", "--epsilon", "inf", "--z-total", "10"],
@@ -632,6 +689,9 @@ _PG2_AUDIT = ["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4"]
     (_PG2_AUDIT + ["--a", "nan,2"], 3),
     (_PG2_AUDIT + ["--a", "inf,2"], 3),
     (_PG2_AUDIT + ["--a", "inf,2", "--exact"], 3),
+    # integer strengths above the exact route's cap
+    (_PG2_AUDIT + ["--a", "1e308,1e308", "--exact"], 3),
+    (_PG2_AUDIT + ["--a", "10001,2", "--exact"], 3),
     # finite parameters whose log normalizers, or b = a / target, are not finite
     (_PG2_AUDIT + ["--a", "1e308,1e308"], 3),
     (["audit", "--method", "md", "--epsilon", "1", "--y-total", "4", "--alpha", "1e308"], 3),
@@ -663,7 +723,8 @@ _PG2_AUDIT = ["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4"]
         "simulate-no-scenarios", "audit-three-a", "audit-three-targets", "r-values-text",
         "r-values-zero", "r-values-zero-denominator", "max-a-zero", "max-y-total-zero",
         "max-c-zero", "max-z-zero", "points-zero", "md-alpha-nan", "md-alpha-inf",
-        "pg2-a-nan", "pg2-a-inf", "pg2-exact-a-inf", "pg2-a-huge", "md-alpha-huge",
+        "pg2-a-nan", "pg2-a-inf", "pg2-exact-a-inf", "pg2-exact-a-huge",
+        "pg2-exact-a-above-cap", "pg2-a-huge", "md-alpha-huge",
         "pg2-b-overflows", "pg2-targets-nan", "calibrate-targets-nan",
         "synthesize-targets-nan", "infinite-population", "pg2-b-total-overflows",
         "pg2-population-total-overflows", "pg2-b-over-population-overflows",

@@ -12,7 +12,6 @@ from dpcounts.errors import DomainError, InfeasibleBudgetError, UsageError
 from dpcounts.exact_math import exact_normalizer
 from dpcounts.poisson_gamma import (
     PgCalibration,
-    SynthesisStrategy,
     TargetRule,
     _budget_of_penalty,
     _calibrate_lanes,
@@ -48,6 +47,15 @@ class TestStructureRatio:
         r0 = structure_ratio(0, [1.0, 3.0], [0.5, 4.0])
         r1 = structure_ratio(1, [1.0, 3.0], [0.5, 4.0])
         assert r0 * r1 == pytest.approx(1.0, rel=1e-12)
+
+    def test_complement_does_not_cancel(self):
+        # n.sum() - n rounds the first complement to 0 here; at I = 2 each
+        # complement is the other group
+        n, b = [1e16, 1.0], [5e15, 5e15]
+        assert structure_ratio(0, n, b) == (5e15 / 1.0 + 2.0) / (5e15 / 1e16 + 2.0)
+        assert structure_ratio(1, n, b) == (5e15 / 1e16 + 2.0) / (5e15 / 1.0 + 2.0)
+        assert structure_ratio(0, n + [1.0], b + [5e15]) == (
+            (1e16 / 2.0 + 2.0) / (5e15 / 1e16 + 2.0))
 
     @pytest.mark.parametrize("n,b", [
         ([1e308, 1e308], [2.0, 2.0]),   # population total overflows
@@ -516,23 +524,22 @@ class TestSynthesize:
         prior = PriorSpec.poisson_gamma(a=[1.0, 2.0], target_rates=[1.0, 2.0])
         return data, prior
 
-    def test_strategy_mismatch(self):
-        data = CountDataset.from_counts([1, 2, 3], [1.0, 1.0, 1.0])
-        prior = PriorSpec.poisson_gamma(a=[1.0] * 3, target_rates=[1.0] * 3)
-        with pytest.raises(UsageError):
-            pg_synthesize(data, prior, SynthesisStrategy.EXACT_PAIR, RngStream(0))
+    def test_route_follows_group_count(self):
+        for n_groups, strategy in ((2, "exact-enumeration-2"),
+                                   (3, "lambda-then-multinomial")):
+            data = CountDataset.from_counts([1] * n_groups, [1.0] * n_groups)
+            prior = PriorSpec.poisson_gamma(a=[1.0] * n_groups, target_rates=[1.0] * n_groups)
+            assert pg_synthesize(data, prior, RngStream(0)).provenance.strategy == strategy
 
     def test_mode_mismatch(self):
         data, _ = self._instance()
         with pytest.raises(UsageError):
-            pg_synthesize(data, PriorSpec.multinomial_dirichlet([1.0, 1.0]),
-                          SynthesisStrategy.EXACT_PAIR, RngStream(0))
+            pg_synthesize(data, PriorSpec.multinomial_dirichlet([1.0, 1.0]), RngStream(0))
 
     def test_exact_pair_symmetry(self):
         data = CountDataset.from_counts([2, 2], [1.0, 1.0])
         prior = PriorSpec.poisson_gamma(a=[1.5, 1.5], target_rates=[1.0, 1.0])
-        draws = np.array([pg_synthesize(data, prior, SynthesisStrategy.EXACT_PAIR,
-                                        RngStream(31, i)).counts[0]
+        draws = np.array([pg_synthesize(data, prior, RngStream(31, i)).counts[0]
                           for i in range(8000)])
         low, high = np.mean(draws == 0), np.mean(draws == 4)
         assert abs(low - high) < 3 * math.sqrt(2 * low * (1 - low) / 8000)
@@ -548,21 +555,20 @@ class TestSynthesize:
 
     def test_informative_limit_allocates_by_prior_rates(self):
         # a, b -> inf at fixed a/b: allocation weights tend to n * lam0
-        n = np.array([1.0, 3.0])
-        lam0 = np.array([2.0, 0.5])
-        data = CountDataset.from_counts([40, 0], n)
-        prior = PriorSpec.poisson_gamma(a=np.array([1e9, 1e9]), target_rates=lam0)
-        draws = np.array([pg_synthesize(data, prior, SynthesisStrategy.LAMBDA_MULTINOMIAL,
-                                        RngStream(33, i)).counts
+        n = np.array([1.0, 3.0, 2.0])
+        lam0 = np.array([2.0, 0.5, 1.0])
+        data = CountDataset.from_counts([40, 0, 0], n)
+        prior = PriorSpec.poisson_gamma(a=np.full(3, 1e9), target_rates=lam0)
+        draws = np.array([pg_synthesize(data, prior, RngStream(33, i)).counts
                           for i in range(3000)])
         expected = 40 * n * lam0 / np.sum(n * lam0)
         se = math.sqrt(40 * 0.5 / 3000)
         assert np.all(np.abs(draws.mean(axis=0) - expected) < 4 * se)
 
     def test_totals_and_provenance(self):
-        data, prior = self._instance()
-        synth = pg_synthesize(data, prior, SynthesisStrategy.LAMBDA_MULTINOMIAL,
-                              RngStream(34))
+        data = CountDataset.from_counts([2, 3, 1], [1.0, 2.0, 4.0])
+        prior = PriorSpec.poisson_gamma(a=[1.0, 2.0, 1.5], target_rates=[1.0, 2.0, 0.5])
+        synth = pg_synthesize(data, prior, RngStream(34))
         assert synth.counts.sum() == data.total
         assert synth.provenance.strategy == "lambda-then-multinomial"
         assert synth.provenance.epsilon > 0

@@ -39,7 +39,7 @@ COMMANDS = [
     "audit --method pg2 --epsilon 1 --y-total 4 --populations 1,4 --target-rates 0.8,0.25",
     "audit --method pg2 --epsilon 1 --y-total 4 --populations 1,4 --target-rates 0.8,0.25 "
     "--exact",
-    "synthesize --method pg-exact2 --epsilon 1 --input {pair}",
+    "synthesize --method pg-multinomial --epsilon 1 --input {pair}",
 ]
 
 SCRIPT = """
