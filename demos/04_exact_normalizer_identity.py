@@ -10,25 +10,35 @@ the rational expression only looks singular.
 from fractions import Fraction
 
 from dpcounts.exact_math import (
-    BivariatePoly,
     check_convolution_identity,
     closed_form_numerator,
-    convolution_sum,
+    differentiate,
     divide_by_q_minus_p,
     exact_normalizer,
 )
 
-# The numerator always divides exactly by (q - p): geometric case first.
+
+def show(form):
+    """A binary form as text: c[k] is the coefficient of p^k q^(D-k)."""
+    degree = len(form) - 1
+    terms = [f"{c}*p^{k}*q^{degree - k}" for k, c in enumerate(form) if c]
+    return " + ".join(terms) or "0"
+
+
+# Every polynomial on the path is homogeneous in (p, q), a binary form, kept
+# as a list of integer coefficients. The numerator always divides exactly by
+# (q - p), and the quotient is the numerator's prefix sums: geometric case
+# first.
 numerator = closed_form_numerator(1, 1, 3)
 quotient = divide_by_q_minus_p(numerator)
 print("unit shapes, total 3:")
-print("  numerator:", numerator)
-print("  quotient :", quotient)
+print("  numerator:", numerator, "=", show(numerator))
+print("  quotient :", quotient, "=", show(quotient))
 
 # With shapes (2, 1) one derivative in p appears.
 quotient = divide_by_q_minus_p(closed_form_numerator(2, 1, 2))
-print("\nshapes (2, 1), total 2, after division:", quotient)
-print("d/dp of that:", quotient.differentiate("p"))
+print("\nshapes (2, 1), total 2, after division:", show(quotient))
+print("d/dp of that:", show(differentiate(quotient, 1, 0)))
 
 # Both sides evaluated exactly at rational points, equal with no tolerance.
 for c1, c2, zt, p, q in [

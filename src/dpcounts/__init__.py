@@ -62,7 +62,6 @@ from .audit import (
     enumerate_neighbors,
 )
 from .exact_math import (
-    BivariatePoly,
     check_convolution_identity,
     convolution_closed_form,
     convolution_sum,

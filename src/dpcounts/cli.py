@@ -587,9 +587,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 class _Parser(argparse.ArgumentParser):
     # exit code 2 is reserved for infeasible budgets; command-line mistakes
-    # are reported like other input errors
+    # are reported like other input errors, on one line without the usage
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(3, f"error: {message}\n")
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dpcounts.cli as cli
+import dpcounts.exact_math as exact_math
 from dpcounts.audit import audit_synthesizer
 from dpcounts.cli import RunConfig, config_from_args, ingest_counts, run, write_counts
 from dpcounts.core import (CountDataset, RngStream, sample_dirichlet, sample_gamma,
@@ -535,6 +536,20 @@ class TestVerificationCommands:
         assert len(lines) == 1 + 2 * 2 * 3 * 2
         assert all(line.endswith("True") for line in lines[1:])
 
+    def test_lemma_check_fails_on_a_wrong_closed_form(self, tmp_path, monkeypatch):
+        def off_by_one(c1, c2, z_total, p, q):
+            return exact_math.convolution_sum(c1, c2, z_total, p, q) + 1
+
+        monkeypatch.setattr(exact_math, "convolution_closed_form", off_by_one)
+        out = tmp_path / "lemma.csv"
+        code = run_cli(["lemma-check", "--max-c", "2", "--max-z", "2",
+                        "--points", "1", "--output", str(out)])
+        assert code == 1
+        rows = list(csv.DictReader(l for l in out.read_text().splitlines()
+                                   if not l.startswith("#")))
+        assert len(rows) == 2 * 2 * 2
+        assert {row["equal"] for row in rows} == {"False"}
+
     def test_bound_sweep_passes(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli(["bound-sweep", "--max-a", "2", "--max-y-total", "3",
@@ -588,7 +603,9 @@ class TestErrorsAndConfig:
                       "--input", str(tmp_path / "pair.csv"),
                       "--output", str(tmp_path / "o.csv")])
         assert exit_.value.code == 3
-        assert "'md', 'pg-multinomial'" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'md', 'pg-multinomial'" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
 
     @pytest.mark.parametrize("argv", [
@@ -683,6 +700,7 @@ _PG2_AUDIT = ["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4"]
     (["lemma-check", "--max-c", "0"], 3),
     (["lemma-check", "--max-z", "0"], 3),
     (["lemma-check", "--points", "0"], 3),
+    (["lemma-check", "--max-c", "abc"], 3),
     # non-finite prior parameters and targets, refused where they enter
     (["audit", "--method", "md", "--epsilon", "1", "--y-total", "4", "--alpha", "nan"], 3),
     (["audit", "--method", "md", "--epsilon", "1", "--y-total", "4", "--alpha", "inf"], 3),
@@ -722,8 +740,8 @@ _PG2_AUDIT = ["audit", "--method", "pg2", "--epsilon", "1", "--y-total", "4"]
         "overflowing-populations", "simulate-bad-epsilons", "simulate-no-epsilons",
         "simulate-no-scenarios", "audit-three-a", "audit-three-targets", "r-values-text",
         "r-values-zero", "r-values-zero-denominator", "max-a-zero", "max-y-total-zero",
-        "max-c-zero", "max-z-zero", "points-zero", "md-alpha-nan", "md-alpha-inf",
-        "pg2-a-nan", "pg2-a-inf", "pg2-exact-a-inf", "pg2-exact-a-huge",
+        "max-c-zero", "max-z-zero", "points-zero", "max-c-text", "md-alpha-nan",
+        "md-alpha-inf", "pg2-a-nan", "pg2-a-inf", "pg2-exact-a-inf", "pg2-exact-a-huge",
         "pg2-exact-a-above-cap", "pg2-a-huge", "md-alpha-huge",
         "pg2-b-overflows", "pg2-targets-nan", "calibrate-targets-nan",
         "synthesize-targets-nan", "infinite-population", "pg2-b-total-overflows",

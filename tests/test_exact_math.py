@@ -2,120 +2,102 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcounts.errors import DomainError
 from dpcounts.exact_math import (
-    BivariatePoly,
     check_convolution_identity,
     closed_form_numerator,
     convolution_closed_form,
     convolution_sum,
+    differentiate,
     divide_by_q_minus_p,
+    evaluate,
     exact_normalizer,
     rising_ratio,
 )
 
-P = BivariatePoly.monomial(1, 0)
-Q = BivariatePoly.monomial(0, 1)
+# A binary form of degree D is a list c of D + 1 ints, c[k] the coefficient
+# of p^k q^(D-k).
+int_forms = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
 
 
-def poly_from(terms):
-    return BivariatePoly({key: Fraction(c) for key, c in terms.items()})
+def times_q_minus_p(form):
+    """form * (q - p), one degree higher: n_k = m_k - m_(k-1)."""
+    return [m - prev for m, prev in zip(form + [0], [0] + form)]
 
 
 class TestPolynomial:
-    def test_arithmetic_and_zero_pruning(self):
-        poly = P * Q + 2 * P - P * Q
-        assert poly == poly_from({(1, 0): 2})
-        assert (poly - poly).is_zero()
-
     def test_differentiate(self):
-        p_sq_q = poly_from({(2, 1): 1})
-        assert p_sq_q.differentiate("p") == poly_from({(1, 1): 2})
-        assert p_sq_q.differentiate("p", times=0) == p_sq_q
-        p4 = poly_from({(4, 0): 1})
-        assert p4.differentiate("p", times=2) == poly_from({(2, 0): 12})
-        assert p4.differentiate("q") == BivariatePoly.zero()
+        p_sq_q = [0, 0, 1, 0]
+        assert differentiate(p_sq_q, 1, 0) == [0, 2, 0]  # 2 p q
+        assert differentiate(p_sq_q, 0, 1) == [0, 0, 1]  # p^2
+        assert differentiate(p_sq_q, 0, 0) == p_sq_q
+        p4 = [0, 0, 0, 0, 1]
+        assert differentiate(p4, 2, 0) == [0, 0, 12]
+        assert differentiate(p4, 0, 1) == [0, 0, 0, 0]
+        assert differentiate(p4, 5, 0) == []
 
     def test_evaluate_is_exact(self):
-        poly = poly_from({(2, 1): Fraction(1, 3), (0, 0): 1})
-        assert poly.evaluate(Fraction(1, 2), Fraction(3)) == Fraction(1, 4) + 1
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(DomainError):
-            BivariatePoly({(-1, 0): Fraction(1)})
+        form = [-1, 0, 3, 0]  # 3 p^2 q - q^3
+        assert evaluate(form, Fraction(1, 2), 3) == Fraction(9, 4) - 27
 
     def test_closed_form_path_keeps_integer_coefficients(self):
         for c1 in range(1, 5):
             for c2 in range(1, 5):
                 for z_total in range(1, 7):
-                    poly = divide_by_q_minus_p(closed_form_numerator(c1, c2, z_total))
-                    derived = poly.differentiate("p", c1 - 1).differentiate("q", c2 - 1)
-                    for stage in (poly, poly.differentiate("p"), derived):
-                        assert all(type(c) is int for c in stage.coeffs.values())
+                    form = divide_by_q_minus_p(closed_form_numerator(c1, c2, z_total))
+                    derived = differentiate(form, c1 - 1, c2 - 1)
+                    assert len(derived) == z_total + 1
+                    for stage in (form, differentiate(form, 1, 0), derived):
+                        assert all(type(c) is int for c in stage)
 
     def test_evaluate_returns_fraction(self):
-        integral = poly_from({(2, 1): 3, (0, 0): -1})
-        rational = poly_from({(2, 1): Fraction(1, 3), (1, 0): Fraction(5, 2)})
-        for poly in (integral, rational, BivariatePoly.zero()):
-            assert type(poly.evaluate(2, Fraction(1, 3))) is Fraction
-        assert integral.evaluate(2, Fraction(1, 3)) == 3 * 2**2 * Fraction(1, 3) - 1
-        assert rational.evaluate(Fraction(3, 2), 4) == (Fraction(1, 3) * Fraction(3, 2)**2 * 4
-                                                        + Fraction(5, 2) * Fraction(3, 2))
-
-    def test_int_and_fraction_coefficients_are_one_polynomial(self):
-        ints = BivariatePoly({(2, 1): 3, (0, 4): -2})
-        fracs = BivariatePoly({(2, 1): Fraction(6, 2), (0, 4): Fraction(-2)})
-        assert ints == fracs
-        assert hash(ints) == hash(fracs)
-        assert repr(ints) == repr(fracs)
+        form = [-1, 0, 3, 0]
+        for f in (form, [7], []):
+            assert type(evaluate(f, 2, Fraction(1, 3))) is Fraction
+        assert evaluate(form, 2, Fraction(1, 3)) == 3 * 2**2 * Fraction(1, 3) - Fraction(1, 27)
+        assert evaluate(form, Fraction(3, 2), "1/4") == (3 * Fraction(3, 2)**2 * Fraction(1, 4)
+                                                        - Fraction(1, 64))
+        assert evaluate([7], 2, 3) == 7
+        assert evaluate([], 2, 3) == 0
 
     @settings(max_examples=40, deadline=None)
-    @given(coeffs=st.lists(
-        st.tuples(st.integers(0, 6), st.integers(0, 6),
-                  st.fractions(min_value=-5, max_value=5)),
-        min_size=1, max_size=6),
-        var=st.sampled_from(["p", "q"]), times=st.integers(0, 7))
-    def test_repeated_derivative_is_one_pass(self, coeffs, var, times):
-        poly = BivariatePoly({(dp, dq): c for dp, dq, c in coeffs})
-        stepwise = poly
-        for _ in range(times):
-            stepwise = stepwise.differentiate(var)
-        assert poly.differentiate(var, times) == stepwise
+    @given(form=int_forms, p_times=st.integers(0, 9), q_times=st.integers(0, 9))
+    def test_repeated_derivative_is_one_pass(self, form, p_times, q_times):
+        stepwise = form
+        for _ in range(p_times):
+            stepwise = differentiate(stepwise, 1, 0)
+        for _ in range(q_times):
+            stepwise = differentiate(stepwise, 0, 1)
+        assert differentiate(form, p_times, q_times) == stepwise
+        # the two partial derivatives commute
+        assert differentiate(differentiate(form, 0, q_times), p_times, 0) == stepwise
 
 
 class TestDivideByQMinusP:
     def test_difference_of_squares(self):
-        assert divide_by_q_minus_p(Q * Q - P * P) == P + Q
+        assert divide_by_q_minus_p([1, 0, -1]) == [1, 1]  # p + q
 
     def test_difference_of_cubes(self):
-        expected = poly_from({(0, 2): 1, (1, 1): 1, (2, 0): 1})
-        assert divide_by_q_minus_p(Q * Q * Q - P * P * P) == expected
+        assert divide_by_q_minus_p([1, 0, 0, -1]) == [1, 1, 1]  # q^2 + pq + p^2
 
     def test_geometric_numerator(self):
         # unit shapes with total 3 reduce to the geometric sum
-        quotient = divide_by_q_minus_p(closed_form_numerator(1, 1, 3))
-        expected = poly_from({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1})
-        assert quotient == expected
+        numerator = closed_form_numerator(1, 1, 3)
+        assert numerator == [1, 0, 0, 0, -1]  # q^4 - p^4
+        assert divide_by_q_minus_p(numerator) == [1, 1, 1, 1]
 
     def test_not_divisible_rejected(self):
-        with pytest.raises(DomainError):
-            divide_by_q_minus_p(P * Q + Q)
+        for form in ([1, 1, 0], [5], []):  # p q + q^2, a nonzero constant, no form
+            with pytest.raises(DomainError):
+                divide_by_q_minus_p(form)
 
     @settings(max_examples=40, deadline=None)
-    @given(coeffs=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 4),
-                  st.fractions(min_value=-5, max_value=5)),
-        min_size=1, max_size=6))
-    def test_round_trip_with_multiplication(self, coeffs):
-        poly = BivariatePoly({(dp, dq): c for dp, dq, c in coeffs})
-        product = poly * (Q - P)
-        if product.is_zero():
-            assert divide_by_q_minus_p(product).is_zero()
-        else:
-            assert divide_by_q_minus_p(product) == poly
+    @given(form=int_forms)
+    def test_round_trip_with_multiplication(self, form):
+        assert divide_by_q_minus_p(times_q_minus_p(form)) == form
 
 
 class TestRisingRatio:
@@ -162,6 +144,24 @@ class TestConvolutionIdentity:
         check = check_convolution_identity(c1, c2, z_total,
                                            Fraction(pn, pd), Fraction(qn, qd))
         assert check.equal
+
+    @settings(max_examples=60, deadline=None)
+    @given(c1=st.integers(1, 8), c2=st.integers(1, 8), z_total=st.integers(0, 20),
+           p=st.fractions(min_value=0, max_value=10, max_denominator=60),
+           q=st.fractions(min_value=0, max_value=10, max_denominator=60),
+           where=st.sampled_from(["anywhere", "p = q", "p = 0"]))
+    @example(c1=8, c2=8, z_total=20, p=Fraction(3, 7), q=Fraction(3, 7), where="p = q")
+    @example(c1=8, c2=1, z_total=20, p=Fraction(0), q=Fraction(5, 2), where="p = 0")
+    def test_sum_matches_term_by_term_fractions(self, c1, c2, z_total, p, q, where):
+        p = {"anywhere": p, "p = q": q, "p = 0": Fraction(0)}[where]
+        direct = sum(Fraction(math.factorial(z + c1 - 1), math.factorial(z))
+                     * Fraction(math.factorial(z_total - z + c2 - 1),
+                                math.factorial(z_total - z))
+                     * p**z * q**(z_total - z)
+                     for z in range(z_total + 1))
+        assert convolution_sum(c1, c2, z_total, p, q) == direct
+        if z_total >= 1:
+            assert convolution_closed_form(c1, c2, z_total, p, q) == direct
 
     def test_domain(self):
         with pytest.raises(DomainError):
